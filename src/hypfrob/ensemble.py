@@ -6,15 +6,19 @@ decomposition of traces.
 The bulk pipeline is vectorized with numpy but stays exact: coefficients,
 character values and scaled traces are small integers, sums are checked
 against 64-bit bounds, and every ensemble statistic is reduced to an
-integer total before any floating-point rendering.  Reductions are
-associative integer sums, so results are bit-identical for any worker
-count or chunking.
+integer total before any floating-point rendering.
+
+Traces take one route, `TraceEngine`: the explicit formula gives s_1..s_g
+from chi_Q at the primes of degree <= g, inverse Newton the coefficients
+A_1..A_g, the functional equation A_{g+1..2g}, and Newton's identities
+s_1..s_N.  Rows go through it in fixed chunks of CHUNK_ROWS, so results are
+bit-identical for any worker count.
 """
 
 import itertools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,10 +33,7 @@ from .polyfield import (
     get_prime_table,
     irreducible_count,
     mobius,
-    monic_code,
-    monic_from_code,
     monic_polys,
-    poly_divmod,
     poly_mod,
     poly_mul,
 )
@@ -201,120 +202,105 @@ def enumerate_curves(spec, method="sieve", budget=DEFAULT_BUDGET):
 
 # -- vectorized trace engine ---------------------------------------------------
 
+CHUNK_ROWS = 2 ** 11  # rows per kernel pass; fixed, so no result depends on it
+FLOAT32_EXACT = 2 ** 24
+
+
 class TraceEngine:
     """Exact batch pipeline from curve coefficients to scaled traces.
 
-    Per curve: character values at primes of degree <= g via residue
-    tables, multiplicative sieve over monic polynomials of degree <= g,
-    coefficient symmetry for the upper half, Newton recursion for the
-    power sums.  Everything is integer-valued end to end.
+    The residue kernel, for each degree d <= g: one float32 matmul of the
+    coefficient rows against the stacked reduction matrices (x^i mod P) of
+    all degree-d primes P gives the digits of Q mod P, an int16 remainder
+    reduces them, d-1 multiply-adds make a residue code, and one flat take
+    into the stacked character tables gives chi_Q(P).  Row sums give c_d,
+    the sum of chi_Q over the degree-d primes, and z_d, how many divide Q.
+    The matmul is exact: its entries are integers of at most (2g+2)(q-1)^2,
+    and construction refuses (q, g) where that reaches 2^24.
+
+    The explicit formula -s_n = sum_{d | n} d (c_d if n/d is odd, else
+    pi_d - z_d) gives s_n for n <= g; `coefficients_from_traces` and
+    `_newton_matrix` do the rest.
     """
 
     def __init__(self, q, g, N):
         check_field(q)
+        bound = (2 * g + 2) * (q - 1) ** 2
+        if bound >= FLOAT32_EXACT:
+            raise ValueError(
+                f"residue products reach (2g+2)(q-1)^2 = {bound} >= 2^24 at q={q}, "
+                f"g={g}; float32 would not hold them exactly")
         self.q, self.g, self.N = q, g, N
-        self.table = get_prime_table(q, max(g, 1))
-        deg_in = 2 * g + 2
-        # global index over monic polynomials of degree 0..g
-        offsets = [0, 1]
-        for d in range(1, g):
-            offsets.append(offsets[-1] + q ** d)
-        self.offsets = offsets  # offsets[d] = first index of degree d (deg 0 at 0)
-        self.n_monic = offsets[g] + q ** g if g >= 1 else 1
-        spf = np.zeros(self.n_monic, np.int32)
-        cof = np.zeros(self.n_monic, np.int32)
-        is_prime = np.zeros(self.n_monic, bool)
-        prime_index = {}
+        self.residue_dtype = np.int16 if bound < 2 ** 15 else np.int32
+        table = get_prime_table(q, max(g, 1))
+        self.pi = [0] + [len(table.irreducibles(d)) for d in range(1, g + 1)]
+        # per degree d: stacked reduction matrices and character tables, and
+        # the first code of each prime's table
+        self.stacks = []
         for d in range(1, g + 1):
-            base = offsets[d]
-            primes_d = set(self.table.irreducibles(d))
-            for code in range(q ** d):
-                f = monic_from_code(code, d, q)
-                gi = base + code
-                if f in primes_d:
-                    is_prime[gi] = True
-                    prime_index[f] = gi
-                    continue
-                for e in range(1, d // 2 + 1):
-                    hit = None
-                    for prime in self.table.irreducibles(e):
-                        quo, rem = poly_divmod(f, prime, q)
-                        if not rem:
-                            hit = (prime, quo)
-                            break
-                    if hit:
-                        break
-                prime_, quo = hit
-                spf[gi] = prime_index[prime_]
-                ec = len(quo) - 1
-                cof[gi] = offsets[ec] + monic_code(quo, q) if ec >= 1 else 0
-        self.spf, self.cof, self.is_prime = spf, cof, is_prime
-        self.composites_by_degree = []
-        for d in range(1, g + 1):
-            base = offsets[d]
-            idx = np.arange(base, base + q ** d, dtype=np.int64)
-            self.composites_by_degree.append((d, idx[~is_prime[idx]]))
-        # residue-reduction matrices and quadratic-character tables per prime
-        self.primes = []
-        for d in range(1, g + 1):
-            for prime in self.table.irreducibles(d):
-                red = _reduction_matrix(prime, deg_in, q)
-                chitab = _char_table(prime, q)
-                qpow = q ** np.arange(d, dtype=np.int64)
-                self.primes.append((prime_index[prime], d, prime, red, chitab, qpow))
+            primes = table.irreducibles(d)
+            red = np.hstack([_reduction_matrix(prime, 2 * g + 2, q) for prime in primes])
+            chars = np.concatenate([_char_table(prime, q) for prime in primes])
+            base = q ** d * np.arange(len(primes), dtype=np.min_scalar_type(-chars.size))
+            self.stacks.append((d, red.astype(np.float32), chars, base))
 
     def coefficients(self, coeffs):
-        """Completed L-coefficient rows A(0..2g): the lower half by the
-        multiplicative sieve, the upper half by coefficient symmetry."""
-        q, g = self.q, self.g
-        n = coeffs.shape[0]
-        vals = self._symbol_matrix(coeffs)
-        A = np.ones((n, 2 * g + 1), np.int64)
-        for beta in range(1, g + 1):
-            lo = self.offsets[beta]
-            A[:, beta] = vals[:, lo:lo + q ** beta].sum(axis=1, dtype=np.int64)
-        for beta in range(g + 1, 2 * g + 1):
-            A[:, beta] = q ** (beta - g) * A[:, 2 * g - beta]
-        return A
+        """Completed L-coefficient rows A(0..2g), int64 exact."""
+        return _map_chunks(self._coefficient_rows, coeffs)
 
     def traces(self, coeffs):
         """Scaled traces s_1..s_N for each coefficient row, int64 exact."""
         return _newton_matrix(self.coefficients(coeffs), self.N)
 
-    def _symbol_matrix(self, coeffs):
-        q = self.q
-        n = coeffs.shape[0]
-        vals = np.empty((n, self.n_monic), np.int8)
-        vals[:, 0] = 1
-        cf = coeffs.astype(np.int64)
-        for gi, d, _prime, red, chitab, qpow in self.primes:
-            res = (cf @ red) % q
-            vals[:, gi] = chitab[res @ qpow]
-        for _d, idx in self.composites_by_degree:
-            if len(idx):
-                vals[:, idx] = vals[:, self.spf[idx]] * vals[:, self.cof[idx]]
-        return vals
-
     def divisor_degree_counts(self, coeffs):
         """z[:, d] = number of distinct degree-d prime divisors, d <= N.
 
-        Prime divisors of degree <= g come from residue tests; the cofactor
-        beyond degree g is a single prime because 2(g+1) > 2g+1.
+        Prime divisors of degree <= g come from the residue kernel; the
+        cofactor beyond degree g is a single prime because 2(g+1) > 2g+1.
         """
-        q, g, N = self.q, self.g, self.N
+        return _map_chunks(self._divisor_rows, coeffs)
+
+    def _symbol_sums(self, coeffs):
+        """The residue kernel on one chunk: (c, z), each (rows, g+1) int64,
+        with c[:, d] the sum of chi_Q and z[:, d] the number of zeros of
+        chi_Q over the degree-d primes; column 0 is unused."""
+        q = self.q
         n = coeffs.shape[0]
-        z = np.zeros((n, N + 1), np.int16)
-        hit_degrees = np.zeros(n, np.int64)
-        cf = coeffs.astype(np.int64)
-        for _gi, d, _prime, red, chitab, qpow in self.primes:
-            res = (cf @ red) % q
-            hit = (res @ qpow) == 0
-            if d <= N:
-                z[:, d] += hit
-            hit_degrees += d * hit
-        cof_deg = (2 * g + 1) - hit_degrees
-        inside = (cof_deg >= 1) & (cof_deg <= N)
-        np.add.at(z, (np.nonzero(inside)[0], cof_deg[inside]), 1)
+        c = np.zeros((n, self.g + 1), np.int64)
+        z = np.zeros((n, self.g + 1), np.int64)
+        cf = coeffs.astype(np.float32)
+        for d, red, chars, base in self.stacks:
+            digits = (cf @ red).astype(self.residue_dtype)
+            digits -= q * (digits // q)  # remainder; `//` by a scalar is the fast ufunc
+            digits = digits.reshape(n, len(base), d)
+            code = digits[:, :, d - 1].astype(base.dtype)
+            for i in range(d - 2, -1, -1):
+                code *= q
+                code += digits[:, :, i]
+            code += base
+            chi = chars.take(code)
+            c[:, d] = chi.sum(axis=1, dtype=np.int64)
+            z[:, d] = len(base) - np.count_nonzero(chi, axis=1)
+        return c, z
+
+    def _coefficient_rows(self, coeffs):
+        c, z = self._symbol_sums(coeffs)
+        s = np.zeros((coeffs.shape[0], self.g), np.int64)
+        for n in range(1, self.g + 1):
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    s[:, n - 1] -= d * (c[:, d] if (n // d) % 2 else self.pi[d] - z[:, d])
+        return coefficients_from_traces(s, self.q, self.g)
+
+    def _divisor_rows(self, coeffs):
+        g, N = self.g, self.N
+        low = self._symbol_sums(coeffs)[1]
+        z = np.zeros((coeffs.shape[0], N + 1), np.int16)
+        top = min(g, N)
+        z[:, 1:top + 1] = low[:, 1:top + 1]
+        cof_deg = (2 * g + 1) - (low * np.arange(g + 1)).sum(axis=1)
+        rows = np.nonzero((cof_deg >= 1) & (cof_deg <= N))[0]
+        z[rows, cof_deg[rows]] += 1
         return z
 
     def prime_symbol_sums(self, s, z):
@@ -390,6 +376,37 @@ def _newton_matrix(A, N):
     return p[:, 1:]
 
 
+def coefficients_from_traces(s, q, g):
+    """Completed L-coefficient rows A(0..2g) from scaled traces s_1..s_g.
+
+    Inverse Newton, n A_n = -(s_n + sum_{i<n} A_i s_{n-i}), with every
+    division checked exact (else ArithmeticError); then the functional
+    equation A_{2g-i} = q^(g-i) A_i.  By the Weil bounds on A_i and s_n no
+    int64 partial sum exceeds 2g (4^g + 1) q^(g/2).
+    """
+    A = np.ones((s.shape[0], 2 * g + 1), np.int64)
+    for n in range(1, g + 1):
+        acc = s[:, n - 1].astype(np.int64, copy=True)
+        for i in range(1, n):
+            acc += A[:, i] * s[:, n - i - 1]
+        if (acc % n).any():
+            raise ArithmeticError(f"inverse Newton not integral at n={n}")
+        A[:, n] = -(acc // n)
+    for beta in range(g + 1, 2 * g + 1):
+        A[:, beta] = q ** (beta - g) * A[:, 2 * g - beta]
+    return A
+
+
+def _map_chunks(func, rows, workers=1):
+    """func over consecutive CHUNK_ROWS-row slices, stacked in order; with
+    workers > 1 on a thread pool (BLAS and the ufuncs release the GIL)."""
+    chunks = [rows[lo:lo + CHUNK_ROWS] for lo in range(0, len(rows), CHUNK_ROWS)] or [rows]
+    if workers <= 1 or len(chunks) == 1:
+        return np.concatenate([func(chunk) for chunk in chunks])
+    with ThreadPoolExecutor(min(workers, len(chunks))) as pool:
+        return np.concatenate(list(pool.map(func, chunks)))
+
+
 # -- ensemble data (traces for every curve) -----------------------------------
 
 @dataclass
@@ -418,39 +435,19 @@ class EnsembleData:
         return EnsembleData(self.q, self.g, N, self.codes, self.coeffs, self.s[:, :N])
 
 
-_worker_engines = {}
-
-
-def _trace_chunk(args):
-    q, g, N, budget, lo, hi = args
-    key = (q, g, N)
-    entry = _worker_engines.get(key)
-    if entry is None:
-        codes = squarefree_codes(q, g, budget)
-        entry = (TraceEngine(q, g, N), codes)
-        _worker_engines[key] = entry
-    engine, codes = entry
-    coeffs = curve_coeff_matrix(q, g, codes[lo:hi])
-    return engine.traces(coeffs)
-
-
 def compute_ensemble_data(q, g, N, workers=1, budget=DEFAULT_BUDGET):
-    """Traces s_1..s_N for every curve of the ensemble.
+    """Traces s_1..s_N for every curve of the ensemble, in enumeration order.
 
-    Worker-count independent: curves are split into contiguous chunks and
-    the per-curve results concatenated in enumeration order.
+    With workers > 1 the fixed chunks run on that many threads, which call
+    only the engine's private chunk kernel; the bits do not depend on it.
     """
     codes = squarefree_codes(q, g, budget)
     coeffs = curve_coeff_matrix(q, g, codes)
-    n = len(codes)
-    if workers <= 1 or n < 4096:
-        s = TraceEngine(q, g, N).traces(coeffs)
+    engine = TraceEngine(q, g, N)
+    if workers <= 1:
+        s = engine.traces(coeffs)
     else:
-        bounds = [n * i // workers for i in range(workers + 1)]
-        jobs = [(q, g, N, budget, bounds[i], bounds[i + 1]) for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_trace_chunk, jobs))
-        s = np.vstack(parts)
+        s = _newton_matrix(_map_chunks(engine._coefficient_rows, coeffs, workers), N)
     return EnsembleData(q=q, g=g, N=N, codes=codes, coeffs=coeffs, s=s)
 
 

@@ -466,9 +466,11 @@ def _cmd_lfun(config):
     rows_all, paths = [], []
     for g in config.g_range():
         N = config.N if config.N is not None else 2 * g + 2
-        data, _ = load_or_compute_data(config.q, g, N, cache_dir=config.cache_dir,
+        # s_1..s_g fix the completed coefficients, so load at least that deep
+        data, _ = load_or_compute_data(config.q, g, max(N, g), cache_dir=config.cache_dir,
                                        workers=config.workers, budget=config.budget)
-        A = ens.TraceEngine(config.q, g, N).coefficients(data.coeffs)
+        A = ens.coefficients_from_traces(data.s, config.q, g)
+        data = data.sliced(N)
         rows = []
         for i in range(data.count):
             row = {"q": config.q, "g": g}

@@ -11,6 +11,7 @@ convention.
 """
 
 import cmath
+import math
 from fractions import Fraction
 from dataclasses import dataclass
 
@@ -238,7 +239,8 @@ def _polished_roots(coeffs):
 
 
 def eigenphases(ldata, q):
-    """Angles theta_j with completed-polynomial roots q^(-1/2) e^(-i theta_j).
+    """Angles theta_j in (-pi, pi] with completed-polynomial roots
+    q^(-1/2) e^(-i theta_j).
 
     Repeated factors are split off exactly first (multiple roots would cost
     the companion matrix half its digits), then each simple root is Newton
@@ -252,7 +254,10 @@ def eigenphases(ldata, q):
             if abs(abs(u) - target) > ROOT_MAGNITUDE_TOL:
                 raise RootMagnitudeError(
                     f"root magnitude {abs(u):.12g} vs {target:.12g} exceeds tolerance")
-            thetas.extend([-cmath.phase(u * q ** 0.5)] * mult)
+            theta = -cmath.phase(u * q ** 0.5)
+            if theta <= -math.pi:  # a root on the negative real axis: pi, not -pi
+                theta += 2 * math.pi
+            thetas.extend([theta] * mult)
     if len(thetas) != 2 * ldata.delta:
         raise ArithmeticError("root multiplicities do not add up to the degree")
     thetas.sort()

@@ -37,6 +37,11 @@ class TestEnumeration:
         assert list(data_g1.codes) == sorted(int(c) for c in data_g1.codes)
 
 
+@pytest.fixture(scope="module")
+def data_q5g3():
+    return ens.compute_ensemble_data(5, 3, 8)
+
+
 class TestEngine:
     def test_matches_per_curve_paths_exhaustively(self, data_g1, data_g2, data_q5g1):
         for data in (data_g1, data_g2, data_q5g1):
@@ -46,19 +51,67 @@ class TestEngine:
                 ld = lf.complete_l(curve, lf.dirichlet_coefficients(curve, strategy="enumerate"))
                 assert list(data.s[i]) == lf.traces_from_lpoly(ld, N)
 
-    def test_chunked_equals_whole(self):
-        whole = ens._trace_chunk((3, 2, 6, ens.DEFAULT_BUDGET, 0, 162))
-        parts = [ens._trace_chunk((3, 2, 6, ens.DEFAULT_BUDGET, lo, hi))
-                 for lo, hi in ((0, 50), (50, 100), (100, 162))]
+    @pytest.mark.parametrize("q,g,N,stride", [(11, 1, 4, 1), (13, 1, 4, 1), (7, 2, 6, 293)])
+    def test_matches_enumeration_route_beyond_small_q(self, q, g, N, stride):
+        data = ens.compute_ensemble_data(q, g, N)
+        for i in range(0, data.count, stride):
+            curve = data.curve(i)
+            ld = lf.complete_l(curve, lf.dirichlet_coefficients(curve, strategy="enumerate"))
+            assert list(data.s[i]) == lf.traces_from_lpoly(ld, N)
+
+    def test_traces_independent_of_row_splits(self, data_q5g3):
+        # 62,500 rows: the splits cut inside and across the fixed chunks
+        engine = ens.TraceEngine(5, 3, 8)
+        whole = engine.traces(data_q5g3.coeffs)
+        assert np.array_equal(whole, data_q5g3.s)
+        cuts = [0, 1, 999, ens.CHUNK_ROWS - 1, ens.CHUNK_ROWS + 2, 40000, data_q5g3.count]
+        parts = [engine.traces(data_q5g3.coeffs[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
         assert np.array_equal(np.vstack(parts), whole)
 
-    def test_worker_pool_identical(self):
-        base = ens.compute_ensemble_data(3, 3, 7, workers=1)
-        # n = 1458 is below the inline threshold; drive the pool path directly
-        bounds = [0, 400, 900, 1458]
-        parts = [ens._trace_chunk((3, 3, 7, ens.DEFAULT_BUDGET, bounds[i], bounds[i + 1]))
-                 for i in range(3)]
-        assert np.array_equal(np.vstack(parts), base.s)
+    def test_worker_threads_byte_identical(self, data_q5g3):
+        assert data_q5g3.count > 3 * ens.CHUNK_ROWS
+        for workers in (2, 4):
+            other = ens.compute_ensemble_data(5, 3, 8, workers=workers)
+            assert other.s.tobytes() == data_q5g3.s.tobytes()
+            assert other.coeffs.tobytes() == data_q5g3.coeffs.tobytes()
+            assert other.codes.tobytes() == data_q5g3.codes.tobytes()
+
+    def test_kernel_sums_match_inversion_and_factorization(self, data_g2, data_q5g1,
+                                                            data_q5g3):
+        for data, stride in ((data_g2, 1), (data_q5g1, 1), (data_q5g3, 997)):
+            q, g = data.q, data.g
+            engine = ens.TraceEngine(q, g, data.N)
+            c, z = engine._symbol_sums(data.coeffs)
+            z_all = engine.divisor_degree_counts(data.coeffs)
+            c_all = engine.prime_symbol_sums(data.s, z_all)
+            assert np.array_equal(c[:, 1:], c_all[:, 1:g + 1])
+            assert np.array_equal(z[:, 1:], z_all[:, 1:g + 1])
+            for i in range(0, data.count, stride):
+                fact = pf.factorize(data.curve(i).Q, q)
+                degrees = [pf.degree(prime) for prime, _m in fact.factors]
+                assert [int(v) for v in z[i, 1:]] == [degrees.count(d) for d in range(1, g + 1)]
+
+    def test_inverse_newton_rejects_a_perturbed_symbol_sum(self, data_g2):
+        engine = ens.TraceEngine(3, 2, 8)
+        kernel = engine._symbol_sums
+
+        def perturbed(coeffs):
+            c, z = kernel(coeffs)
+            c[5, 1] += 1  # flips the parity of s_1^2 - s_2 = 2 A_2
+            return c, z
+
+        engine._symbol_sums = perturbed
+        with pytest.raises(ArithmeticError, match="inverse Newton"):
+            engine.coefficients(data_g2.coeffs)
+
+    def test_float32_bound_refused_before_tables(self, monkeypatch):
+        def no_tables(*_args):
+            raise AssertionError("prime table built before the bound check")
+
+        monkeypatch.setattr(ens, "get_prime_table", no_tables)
+        # (2g+2)(q-1)^2 = 4 * 2052^2 >= 2^24 for the prime q = 2053
+        with pytest.raises(ValueError, match="2\\^24"):
+            ens.TraceEngine(2053, 1, 2)
 
     def test_divisor_counts_match_factorization(self, data_g2):
         engine = ens.TraceEngine(3, 2, 8)

@@ -104,6 +104,22 @@ class TestEigenphases:
             assert abs(total.imag) < 1e-9
             assert total.real * math.sqrt(3) == pytest.approx(int(data_g2.s[i][0]), abs=1e-9)
 
+    def test_negative_real_root_has_phase_pi(self):
+        # x^5 + 4x over F_5 has L = (1 - 5u^2)^2: double roots u = +-5^(-1/2)
+        from hypfrob.harness import _reflect_phase
+        ld = lf.complete_l(lf.Curve.from_coeffs(5, (0, 4, 0, 0, 0, 1)))
+        assert ld.Astar == (1, 0, -10, 0, 25)
+        theta = lf.eigenphases(ld, 5)
+        assert theta == pytest.approx((0.0, 0.0, math.pi, math.pi), abs=1e-12)
+        assert all(-math.pi < t <= math.pi for t in theta)
+        assert sorted(_reflect_phase(t) for t in theta) == pytest.approx(theta, abs=1e-12)
+
+    def test_phases_in_half_open_range(self, data_g2, data_q5g1):
+        for data in (data_g2, data_q5g1):
+            for i in range(data.count):
+                theta = lf.eigenphases(lf.complete_l(data.curve(i)), data.q)
+                assert all(-math.pi < t <= math.pi for t in theta)
+
     def test_phase_count(self, data_g2):
         for i in range(0, data_g2.count, 23):
             assert len(lf.eigenphases(lf.complete_l(data_g2.curve(i)), 3)) == 4

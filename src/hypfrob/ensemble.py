@@ -11,14 +11,13 @@ integer total before any floating-point rendering.
 Traces take one route, `TraceEngine`: the explicit formula gives s_1..s_g
 from chi_Q at the primes of degree <= g, inverse Newton the coefficients
 A_1..A_g, the functional equation A_{g+1..2g}, and Newton's identities
-s_1..s_N.  Rows go through it in fixed chunks of CHUNK_ROWS, so results are
-bit-identical for any worker count.
+s_1..s_N.  Rows go through it in fixed chunks of CHUNK_ROWS in the calling
+thread, so results are bit-identical for any worker count.
 """
 
 import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -397,14 +396,10 @@ def coefficients_from_traces(s, q, g):
     return A
 
 
-def _map_chunks(func, rows, workers=1):
-    """func over consecutive CHUNK_ROWS-row slices, stacked in order; with
-    workers > 1 on a thread pool (BLAS and the ufuncs release the GIL)."""
+def _map_chunks(func, rows):
+    """func over consecutive CHUNK_ROWS-row slices, stacked in order."""
     chunks = [rows[lo:lo + CHUNK_ROWS] for lo in range(0, len(rows), CHUNK_ROWS)] or [rows]
-    if workers <= 1 or len(chunks) == 1:
-        return np.concatenate([func(chunk) for chunk in chunks])
-    with ThreadPoolExecutor(min(workers, len(chunks))) as pool:
-        return np.concatenate(list(pool.map(func, chunks)))
+    return np.concatenate([func(chunk) for chunk in chunks])
 
 
 # -- ensemble data (traces for every curve) -----------------------------------
@@ -438,16 +433,13 @@ class EnsembleData:
 def compute_ensemble_data(q, g, N, workers=1, budget=DEFAULT_BUDGET):
     """Traces s_1..s_N for every curve of the ensemble, in enumeration order.
 
-    With workers > 1 the fixed chunks run on that many threads, which call
-    only the engine's private chunk kernel; the bits do not depend on it.
+    `workers` is accepted for callers and configs but does not change the
+    computation: the chunks run in the calling thread (a thread pool lost to
+    one thread at every measured point, as BLAS already threads the matmul).
     """
     codes = squarefree_codes(q, g, budget)
     coeffs = curve_coeff_matrix(q, g, codes)
-    engine = TraceEngine(q, g, N)
-    if workers <= 1:
-        s = engine.traces(coeffs)
-    else:
-        s = _newton_matrix(_map_chunks(engine._coefficient_rows, coeffs, workers), N)
+    s = TraceEngine(q, g, N).traces(coeffs)
     return EnsembleData(q=q, g=g, N=N, codes=codes, coeffs=coeffs, s=s)
 
 

@@ -59,6 +59,22 @@ class TestEngine:
             ld = lf.complete_l(curve, lf.dirichlet_coefficients(curve, strategy="enumerate"))
             assert list(data.s[i]) == lf.traces_from_lpoly(ld, N)
 
+    def test_int32_residues_where_int16_would_wrap(self):
+        # q = 137 is the least prime where a g = 1 residue digit can reach
+        # 2^15; the ensemble needs --budget above 2,571,353 candidates
+        q, g, N = 137, 1, 4
+        engine = ens.TraceEngine(q, g, N)
+        assert engine.residue_dtype == np.int32
+        rows = [Q + (1,) for Q in itertools.product((q - 2, q - 1), repeat=2 * g + 1)
+                if pf.is_squarefree(Q + (1,), q)]
+        coeffs = np.array(rows, np.uint8)
+        assert (coeffs.astype(np.int64) @ engine.stacks[0][1].astype(np.int64)).max() >= 2 ** 15
+        s = engine.traces(coeffs)
+        for i, Q in enumerate(rows):
+            curve = lf.Curve(q=q, g=g, Q=Q)
+            ld = lf.complete_l(curve, lf.dirichlet_coefficients(curve, strategy="enumerate"))
+            assert list(s[i]) == lf.traces_from_lpoly(ld, N)
+
     def test_traces_independent_of_row_splits(self, data_q5g3):
         # 62,500 rows: the splits cut inside and across the fixed chunks
         engine = ens.TraceEngine(5, 3, 8)
@@ -68,7 +84,7 @@ class TestEngine:
         parts = [engine.traces(data_q5g3.coeffs[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
         assert np.array_equal(np.vstack(parts), whole)
 
-    def test_worker_threads_byte_identical(self, data_q5g3):
+    def test_workers_byte_identical(self, data_q5g3):
         assert data_q5g3.count > 3 * ens.CHUNK_ROWS
         for workers in (2, 4):
             other = ens.compute_ensemble_data(5, 3, 8, workers=workers)

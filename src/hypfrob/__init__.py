@@ -21,12 +21,10 @@ from .ensemble import (
 from .charsym import chi, jacobi_symbol, legendre, residue_symbol_def
 from .lfunction import (
     Curve,
-    FrobeniusSummary,
     LData,
     complete_l,
     dirichlet_coefficients,
     eigenphases,
-    frobenius_summary,
     point_count_direct,
     traces_explicit,
     traces_from_lpoly,

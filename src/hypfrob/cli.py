@@ -9,6 +9,7 @@ command-line flags win.  Exit codes: 0 ok, 1 invariant failure,
 """
 
 import argparse
+import functools
 import sys
 
 from .ensemble import DEFAULT_BUDGET
@@ -18,7 +19,11 @@ _INT_KEYS = {"q", "g", "g_max", "N", "moments", "k", "l", "workers", "budget",
              "alpha_max", "beta_max"}
 
 
+@functools.cache
 def build_parser():
+    """The process's one parser, built on first use.  Parsing leaves it
+    unchanged (every default is None, so `--spec` appends to a fresh list),
+    and reusing it leaves no discarded parser cycles for the collector."""
     parser = argparse.ArgumentParser(prog="hypfrob", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -93,8 +98,7 @@ def config_from_args(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
         result = run_experiment(config)

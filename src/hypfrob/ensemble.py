@@ -6,7 +6,9 @@ decomposition of traces.
 The bulk pipeline is vectorized with numpy but stays exact: coefficients,
 character values and scaled traces are small integers, sums are checked
 against 64-bit bounds, and every ensemble statistic is reduced to an
-integer total before any floating-point rendering.
+integer total before any floating-point rendering.  Totals that could pass
+those bounds are Python-int sums over `distinct_rows`, each distinct row
+weighted by how many curves share it.
 
 Traces take one route, `TraceEngine`: the explicit formula gives s_1..s_g
 from chi_Q at the primes of degree <= g, inverse Newton the coefficients
@@ -550,10 +552,38 @@ def multi_char_sum(q, beta, degrees, method="direct", table=None, budget=5_000_0
     return total
 
 
+# -- exact reductions ----------------------------------------------------------
+
+def distinct_rows(cols):
+    """Distinct rows of an (n, m) integer array, with their multiplicities.
+
+    Returns (rows, counts): `rows` is a list of tuples of Python ints in
+    ascending lexicographic order (column 0 most significant), `counts` a
+    list of positive Python ints summing to n.  An exact sum over curves of
+    any function of these columns is then a count-weighted sum over `rows`,
+    which is far shorter because traces repeat heavily across the ensemble.
+    """
+    n, m = cols.shape
+    if n == 0:
+        return [], []
+    if m == 0:
+        return [()], [n]
+    order = np.lexsort(cols.T[::-1])
+    ordered = cols[order]
+    new = np.zeros(n, bool)
+    new[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=n)
+    return list(map(tuple, ordered[starts].tolist())), counts.tolist()
+
+
 # -- trace-product moments -----------------------------------------------------
 
 def trace_product_total(s, mspec):
-    """Integer total sum over curves of prod s_{k_j}^{a_j}, overflow-guarded."""
+    """Integer total sum over curves of prod s_{k_j}^{a_j}, overflow-guarded:
+    int64 when n * prod max|s_k|^a_j stays below INT64_SAFE, else Python
+    ints over the distinct rows of the spec's own columns."""
     n = s.shape[0]
     prod = np.ones(n, np.int64)
     bound = 1
@@ -571,12 +601,12 @@ def trace_product_total(s, mspec):
             break
     if safe:
         return int(prod.sum(dtype=np.int64))
+    rows, counts = distinct_rows(s[:, [k - 1 for k, _ in mspec.terms]])
     total = 0
-    rows = s.tolist()
-    for row in rows:
-        term = 1
-        for k, a in mspec.terms:
-            term *= row[k - 1] ** a
+    for row, count in zip(rows, counts):
+        term = count
+        for v, (_k, a) in zip(row, mspec.terms):
+            term *= v ** a
         total += term
     return total
 
@@ -670,11 +700,6 @@ class TermDecomposition:
     square_part: int
     higher_part: int
 
-    def parts_float(self):
-        scale = self.q ** (self.k / 2)
-        return (self.prime_part / scale, self.square_part / scale,
-                self.higher_part / scale)
-
 
 def term_decomposition(curve, k, table=None):
     """Per-curve prime / prime-square / higher-power split of -tr Theta^k,
@@ -764,17 +789,18 @@ def prime_term_moment(decomp, k, l):
     q, n = data.q, data.count
     if k > data.N:
         raise ValueError("k beyond available traces")
-    c_k = decomp.c[:, k].astype(object)
+    values, counts = distinct_rows(decomp.c[:, [k]])
     z_k = decomp.z[:, k].astype(np.int64)
     pi_k = irreducible_count(q, k)
     if l == 0:
         p_power = Fraction(1)
     else:
-        tot = int(sum(int(v) ** (2 * l) for v in c_k))
+        tot = sum(cnt * v ** (2 * l) for (v,), cnt in zip(values, counts))
         p_power = Fraction(k ** (2 * l) * tot, n * q ** (l * k))
     delta2 = Fraction(k ** 2 * int((pi_k - z_k).sum()), n * q ** k)
     # ordered distinct pairs: (sum chi)^2 - sum chi^2
-    pair_tot = int(sum(int(v) * int(v) for v in c_k)) - int((pi_k - z_k).sum())
+    pair_tot = (sum(cnt * v * v for (v,), cnt in zip(values, counts))
+                - int((pi_k - z_k).sum()))
     p2_tuple = Fraction(k ** 2 * pair_tot, n * q ** k)
     return PrimeTermReport(q=q, g=data.g, k=k, l=l, curves=n,
                            p_power_mean=p_power, delta2_mean=delta2,

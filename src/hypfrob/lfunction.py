@@ -66,13 +66,6 @@ class LData:
     Astar: tuple      # beta = 0 .. 2*delta
 
 
-@dataclass(frozen=True)
-class FrobeniusSummary:
-    """Scaled integer power sums s_n = q^(n/2) tr Theta^n and eigenphases."""
-    s: tuple
-    theta: tuple
-
-
 def dirichlet_coefficients(curve, up_to=None, strategy="funceq"):
     """A(beta) = sum of chi_Q over monic B of degree beta, exact integers.
 
@@ -262,13 +255,6 @@ def eigenphases(ldata, q):
         raise ArithmeticError("root multiplicities do not add up to the degree")
     thetas.sort()
     return tuple(thetas)
-
-
-def frobenius_summary(curve, N, table=None):
-    ldata = complete_l(curve)
-    s = traces_from_lpoly(ldata, N)
-    theta = eigenphases(ldata, curve.q)
-    return FrobeniusSummary(s=tuple(s), theta=theta)
 
 
 def traces_from_eigenphases(theta, q, N):

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .ensemble import distinct_rows
 from .exact import QSqrt
 
 
@@ -209,6 +210,12 @@ class ZWeights:
     even_terms: tuple  # ((k, weight), ...)
     odd_terms: tuple
 
+    def parts(self, s):
+        """(a, b) as Python ints for one row of scaled traces s_1, s_2, ..."""
+        a = self.base + sum(wt * int(s[k - 1]) for k, wt in self.even_terms)
+        b = sum(wt * int(s[k - 1]) for k, wt in self.odd_terms)
+        return a, b
+
 
 def z_weights(tf, N, q):
     ks = active_modes(tf, N)
@@ -240,8 +247,7 @@ def z_statistic(s, tf, N, q):
 def z_statistic_exact(s, tf, N, q):
     """Exact statistic as QSqrt using the integer weight form."""
     w = z_weights(tf, N, q)
-    a = w.base + sum(wt * s[k - 1] for k, wt in w.even_terms)
-    b = sum(wt * s[k - 1] for k, wt in w.odd_terms)
+    a, b = w.parts(s)
     return QSqrt(q, Fraction(a, w.scale), Fraction(b, w.scale))
 
 
@@ -360,15 +366,10 @@ def z_moments(data, tf, m):
     ks = active_modes(tf, N)
     if ks and data.N < ks[-1]:
         raise ValueError(f"need traces through k={ks[-1]}, have N={data.N}")
-    a = np.full(n, w.base, np.int64)
-    b = np.zeros(n, np.int64)
-    for k, wt in w.even_terms:
-        a += wt * data.s[:, k - 1]
-    for k, wt in w.odd_terms:
-        b += wt * data.s[:, k - 1]
-    power_a = [int(x) for x in a]
-    power_b = [int(x) for x in b]
-    sums = _qsqrt_power_sums(power_a, power_b, q, m)
+    # the active modes are 1..ks[-1]; the weights can pass int64, so a and b
+    # are formed in Python ints, once per distinct row of those traces
+    rows, counts = distinct_rows(data.s[:, :len(ks)])
+    sums = _qsqrt_power_sums([w.parts(row) for row in rows], counts, q, m)
     scale = w.scale
     raw = []
     for j in range(1, m + 1):
@@ -400,14 +401,14 @@ def _qsqrt_int_pow(x, e):
     return out
 
 
-def _qsqrt_power_sums(a_list, b_list, q, m):
-    """sums[j] = (sum a_i', sum b_i') with (a + b sqrt q)^j = a' + b' sqrt q,
-    in exact integer arithmetic."""
+def _qsqrt_power_sums(rows, counts, q, m):
+    """sums[j] = (sum count a', sum count b') over rows (a, b), where
+    (a + b sqrt q)^j = a' + b' sqrt q, in exact integer arithmetic."""
     sums = {j: [0, 0] for j in range(1, m + 1)}
-    for a, b in zip(a_list, b_list):
+    for (a, b), count in zip(rows, counts):
         pa, pb = 1, 0
         for j in range(1, m + 1):
             pa, pb = pa * a + q * pb * b, pa * b + pb * a
-            sums[j][0] += pa
-            sums[j][1] += pb
+            sums[j][0] += count * pa
+            sums[j][1] += count * pb
     return {j: (u, v) for j, (u, v) in sums.items()}

@@ -284,12 +284,6 @@ class PrimeTable:
             raise ValueError(f"degree {n} outside table range 1..{self.max_degree}")
         return self.by_degree[n]
 
-    def pi(self, n):
-        """pi_q(n), from the table when available, else the closed form."""
-        if 1 <= n <= self.max_degree:
-            return self.counts[n]
-        return irreducible_count(self.q, n)
-
     def first_irreducible(self, n):
         return self.irreducibles(n)[0]
 

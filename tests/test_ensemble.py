@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypfrob import cache as cachemod
 from hypfrob import ensemble as ens
@@ -40,6 +42,11 @@ class TestEnumeration:
 @pytest.fixture(scope="module")
 def data_q5g3():
     return ens.compute_ensemble_data(5, 3, 8)
+
+
+@pytest.fixture(scope="module")
+def genus2_large_q():
+    return {q: ens.compute_ensemble_data(q, 2, 6) for q in (11, 13)}
 
 
 class TestEngine:
@@ -301,6 +308,30 @@ class TestTraceProductMoment:
         total = ens.trace_product_total(fake.s, spec)
         assert total == sum(int(v) ** 2 for v in fake.s[:, 0])
 
+    @pytest.mark.parametrize("q", [11, 13])
+    @pytest.mark.parametrize("text", ["(6,5)", "(5,4)", "(1,1);(6,3)", "(5,5)", "(1,1);(6,4)"])
+    def test_bigint_fallback_matches_per_curve_products(self, genus2_large_q, monkeypatch,
+                                                        q, text):
+        s = genus2_large_q[q].s
+        spec = ens.MomentSpec.parse(text)
+        bound = s.shape[0]
+        for k, a in spec.terms:
+            bound *= int(np.abs(s[:, k - 1]).max()) ** a
+        grouped, real = [], ens.distinct_rows
+        monkeypatch.setattr(ens, "distinct_rows",
+                            lambda cols: grouped.append(cols.shape) or real(cols))
+        expected = 0
+        for row in s.tolist():
+            term = 1
+            for k, a in spec.terms:
+                term *= row[k - 1] ** a
+            expected += term
+        assert ens.trace_product_total(s, spec) == expected
+        # past the guard the spec's own columns are grouped, else int64 sums
+        assert grouped == ([(s.shape[0], len(spec.terms))] if bound >= ens.INT64_SAFE else [])
+        if text in ("(5,5)", "(1,1);(6,4)"):
+            assert grouped  # these two cross the guard at both q
+
     def test_out_of_range_flagged(self, data_g1):
         rep = ens.trace_product_moment(data_g1, ens.MomentSpec.parse("(2,2)"))
         assert not rep.in_range  # 4 > 2g - 1 = 1
@@ -422,6 +453,48 @@ class TestPrimeTermMoment:
     def test_l_zero_is_one(self, data_g2):
         decomp = ens.DecompositionData.build(data_g2)
         assert ens.prime_term_moment(decomp, 2, 0).p_power_mean == 1
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_matches_per_curve_loop(self, data_g2, genus2_large_q, l):
+        for data in (data_g2, genus2_large_q[11]):
+            decomp = ens.DecompositionData.build(data)
+            q, n = data.q, data.count
+            for k in range(1, data.N + 1):
+                col = [int(v) for v in decomp.c[:, k]]
+                free = sum(pf.irreducible_count(q, k) - int(z) for z in decomp.z[:, k])
+                rep = ens.prime_term_moment(decomp, k, l)
+                assert rep.p_power_mean == Fraction(
+                    k ** (2 * l) * sum(v ** (2 * l) for v in col), n * q ** (l * k))
+                assert rep.p2_tuple_mean == Fraction(
+                    k ** 2 * (sum(v * v for v in col) - free), n * q ** k)
+                assert rep.delta2_mean == Fraction(k ** 2 * free, n * q ** k)
+
+
+_NEAR_EDGE = st.one_of(st.integers(-3, 3),
+                       st.integers(2 ** 62 - 3, 2 ** 62 + 3),
+                       st.integers(-2 ** 62 - 3, -2 ** 62 + 3),
+                       st.integers(-2 ** 63, 2 ** 63 - 1))
+
+
+class TestDistinctRows:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda m: st.tuples(
+        st.lists(st.tuples(*[_NEAR_EDGE] * m), min_size=1, max_size=8),
+        st.lists(st.integers(0, 7), min_size=1, max_size=40))))
+    def test_rows_and_counts_rebuild_the_input(self, drawn):
+        pool, picks = drawn
+        # draw rows from a small pool, so many rows repeat
+        given_rows = [pool[i % len(pool)] for i in picks]
+        rows, counts = ens.distinct_rows(np.array(given_rows, np.int64))
+        assert rows == sorted(set(given_rows))
+        assert all(type(v) is int for row in rows for v in row)
+        assert all(c > 0 for c in counts) and sum(counts) == len(given_rows)
+        rebuilt = [row for row, c in zip(rows, counts) for _ in range(c)]
+        assert rebuilt == sorted(given_rows)
+
+    def test_no_columns_or_no_rows(self):
+        assert ens.distinct_rows(np.zeros((5, 0), np.int64)) == ([()], [5])
+        assert ens.distinct_rows(np.zeros((0, 3), np.int64)) == ([], [])
 
 
 class TestCacheRoundTrip:

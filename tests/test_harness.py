@@ -47,6 +47,24 @@ class TestConfig:
         monkeypatch.setenv(harness.CACHE_ENV, "/tmp/some-cache")
         assert harness.ExperimentConfig().cache_dir == "/tmp/some-cache"
 
+    def test_main_reuses_one_parser_without_carrying_specs(self, monkeypatch):
+        from hypfrob import cli
+        seen = []
+
+        def fake_run(config):
+            seen.append(config.specs)
+            return harness.ExperimentResult(0, [], [])
+
+        monkeypatch.setattr(cli, "run_experiment", fake_run)
+        parser = cli.build_parser()
+        assert cli.main(["moment", "--q", "3", "--spec", "(1,2)", "--spec", "(2,2)"]) == 0
+        assert cli.main(["moment", "--q", "3", "--spec", "(4,1)"]) == 0
+        assert cli.main(["moment", "--q", "3"]) == 0
+        assert seen[0] == ["(1,2)", "(2,2)"]
+        assert seen[1] == ["(4,1)"]
+        assert seen[2] == harness.ExperimentConfig().specs
+        assert cli.build_parser() is parser
+
 
 def _parse(args):
     from hypfrob.cli import build_parser

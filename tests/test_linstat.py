@@ -1,10 +1,23 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from hypfrob import ensemble as ens
 from hypfrob import lfunction as lf
 from hypfrob import linstat
+from hypfrob.exact import QSqrt
+
+
+def _raw_moments_per_curve(rows, tf, N, q, m):
+    """Raw moments as exact means of z_statistic_exact over every row."""
+    zs = [linstat.z_statistic_exact(row, tf, N, q) for row in rows]
+    moments, powers = [], [QSqrt.of(q, 1)] * len(zs)
+    for _ in range(m):
+        powers = [p * z for p, z in zip(powers, zs)]
+        moments.append(sum(powers, QSqrt.of(q, 0)) * Fraction(1, len(zs)))
+    return tuple(moments)
 
 
 class TestTestFunction:
@@ -163,6 +176,26 @@ class TestZMoments:
         mean = sum(zs) / len(zs)
         brute_c2 = sum((z - mean) ** 2 for z in zs) / len(zs)
         assert float(rep.central_moments[1]) == pytest.approx(brute_c2, abs=1e-9)
+
+    @pytest.mark.parametrize("tf", [linstat.triangular(1), linstat.triangular(3),
+                                    linstat.parse_test_function("0:1;1/4:2,-4;1/2")])
+    def test_exact_against_per_curve_statistic(self, data_g2, tf):
+        rep = linstat.z_moments(data_g2, tf, 5)
+        assert rep.raw_moments == _raw_moments_per_curve(data_g2.s.tolist(), tf, 4, 3, 5)
+
+    def test_weight_sums_past_int64(self):
+        # weights 225, 150, 25 on s_1, s_2, s_3 (scale 18): every wt * s_k
+        # passes 2^63, where int64 sums of a and b would wrap
+        tf = linstat.parse_test_function("0:100,-100;1", name="tall")
+        w = linstat.z_weights(tf, 4, 3)
+        rows = [[2 ** 60, -2 ** 60, 2 ** 62 - 1, 7]] * 3 + [[-2 ** 61, 2 ** 62, -2 ** 62, -5]]
+        s = np.array(rows, np.int64)
+        assert min(wt * abs(int(s[i, k - 1])) for i in range(len(rows))
+                   for k, wt in w.even_terms + w.odd_terms) >= 2 ** 63
+        data = ens.EnsembleData(q=3, g=2, N=4, codes=np.arange(len(rows), dtype=np.int64),
+                                coeffs=np.zeros((len(rows), 6), np.uint8), s=s)
+        rep = linstat.z_moments(data, tf, 4)
+        assert rep.raw_moments == _raw_moments_per_curve(rows, tf, 4, 3, 4)
 
     def test_support_flag(self, data_g2):
         rep = linstat.z_moments(data_g2, linstat.triangular(2), 3)

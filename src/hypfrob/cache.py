@@ -1,17 +1,14 @@
-"""Binary caches: prime tables keyed by (q, max degree) and per-curve trace
-records keyed by (q, g, N).
+"""Binary cache of per-curve trace records keyed by (q, g, N).
 
-Both formats carry a magic tag and version; mismatches trigger a rebuild
+The format carries a magic tag and version; a mismatch triggers a rebuild
 rather than an error.  Writes go through a temp file and an atomic rename
-so concurrent readers never observe partial records.
+so concurrent readers never observe partial records.  Prime tables are not
+kept on disk: `polyfield.PrimeTable.build` sieves them in well under a
+second at the depths the commands use.
 
 Trace record layout (little endian, fixed width):
     magic 'HFTR' | u32 version | u32 q | u32 g | u32 N | u64 count
     then count records of (2g+2) u8 curve coefficients + N i64 traces.
-
-Prime table layout:
-    magic 'HFPT' | u32 version | u32 q | u32 maxdeg
-    then for each degree d = 1..maxdeg: u64 count, count * (d+1) u8 coeffs.
 """
 
 import os
@@ -20,9 +17,6 @@ import tempfile
 
 import numpy as np
 
-from .polyfield import PrimeTable, irreducible_count
-
-PT_MAGIC = b"HFPT"
 TR_MAGIC = b"HFTR"
 VERSION = 1
 
@@ -42,71 +36,6 @@ def _atomic_write(path, payload):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-# -- prime tables ---------------------------------------------------------------
-
-def prime_table_path(cache_dir, q, max_degree):
-    return os.path.join(cache_dir, f"ptable_q{q}_d{max_degree}.bin")
-
-
-def write_prime_table(path, table):
-    chunks = [PT_MAGIC, struct.pack("<III", VERSION, table.q, table.max_degree)]
-    for d in range(1, table.max_degree + 1):
-        primes = table.irreducibles(d)
-        chunks.append(struct.pack("<Q", len(primes)))
-        for prime in primes:
-            chunks.append(bytes(prime))
-    _atomic_write(path, b"".join(chunks))
-
-
-def read_prime_table(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != PT_MAGIC:
-        raise CacheFormatError(f"{path}: bad magic")
-    version, q, maxdeg = struct.unpack_from("<III", blob, 4)
-    if version != VERSION:
-        raise CacheFormatError(f"{path}: version {version} != {VERSION}")
-    off = 16
-    by_degree = {}
-    for d in range(1, maxdeg + 1):
-        (count,) = struct.unpack_from("<Q", blob, off)
-        off += 8
-        if count != irreducible_count(q, d):
-            raise CacheFormatError(f"{path}: degree-{d} count {count} fails the closed form")
-        primes = []
-        for _ in range(count):
-            primes.append(tuple(blob[off:off + d + 1]))
-            off += d + 1
-        by_degree[d] = tuple(primes)
-    return PrimeTable(q, maxdeg, by_degree)
-
-
-def load_or_build_prime_table(cache_dir, q, max_degree):
-    """Best cached table covering the requested depth, else build and cache."""
-    if cache_dir:
-        best = None
-        try:
-            for name in os.listdir(cache_dir):
-                if name.startswith(f"ptable_q{q}_d") and name.endswith(".bin"):
-                    try:
-                        d = int(name[len(f"ptable_q{q}_d"):-4])
-                    except ValueError:
-                        continue
-                    if d >= max_degree and (best is None or d < best):
-                        best = d
-        except FileNotFoundError:
-            pass
-        if best is not None:
-            try:
-                return read_prime_table(prime_table_path(cache_dir, q, best)), True
-            except CacheFormatError:
-                pass  # fall through to rebuild
-    table = PrimeTable.build(q, max_degree)
-    if cache_dir:
-        write_prime_table(prime_table_path(cache_dir, q, max_degree), table)
-    return table, False
 
 
 # -- trace records ---------------------------------------------------------------

@@ -31,9 +31,11 @@ from .exact import HalfPowerRational
 from .lfunction import Curve
 from .polyfield import (
     check_field,
+    codes_to_digits,
     get_prime_table,
     irreducible_count,
     mobius,
+    monic_multiple_codes,
     monic_polys,
     poly_mod,
     poly_mul,
@@ -123,22 +125,6 @@ class MomentSpec:
 
 # -- enumeration -------------------------------------------------------------
 
-def _codes_to_digits(codes, length, q):
-    out = np.empty((len(codes), length), np.uint8)
-    rest = codes.astype(np.int64, copy=True)
-    for i in range(length):
-        out[:, i] = rest % q
-        rest //= q
-    return out
-
-
-def _monic_digit_matrix(d, q):
-    mat = np.empty((q ** d, d + 1), np.uint8)
-    mat[:, :d] = _codes_to_digits(np.arange(q ** d, dtype=np.int64), d, q)
-    mat[:, d] = 1
-    return mat
-
-
 def squarefree_codes(q, g, budget=DEFAULT_BUDGET):
     """Codes of all monic squarefree polynomials of degree 2g+1, ascending.
 
@@ -147,20 +133,11 @@ def squarefree_codes(q, g, budget=DEFAULT_BUDGET):
     """
     spec = EnsembleSpec(q, g)
     spec.check_budget(budget)
-    d_tot = spec.degree
-    marked = np.zeros(q ** d_tot, bool)
+    marked = np.zeros(q ** spec.degree, bool)
     table = get_prime_table(q, g)
-    qpow = q ** np.arange(d_tot, dtype=np.int64)
     for e in range(1, g + 1):
-        bmat = _monic_digit_matrix(d_tot - 2 * e, q).astype(np.int64)
         for prime in table.irreducibles(e):
-            p2 = poly_mul(prime, prime, q)
-            conv = np.zeros((bmat.shape[0], d_tot + 1), np.int64)
-            for j, cj in enumerate(p2):
-                if cj:
-                    conv[:, j:j + bmat.shape[1]] += cj * bmat
-            conv %= q
-            marked[conv[:, :d_tot] @ qpow] = True
+            marked[monic_multiple_codes(poly_mul(prime, prime, q), spec.degree, q)] = True
     codes = np.nonzero(~marked)[0].astype(np.int64)
     if len(codes) != spec.count:
         raise ArithmeticError(
@@ -170,7 +147,7 @@ def squarefree_codes(q, g, budget=DEFAULT_BUDGET):
 
 def curve_coeff_matrix(q, g, codes):
     mat = np.empty((len(codes), 2 * g + 2), np.uint8)
-    mat[:, : 2 * g + 1] = _codes_to_digits(codes, 2 * g + 1, q)
+    mat[:, : 2 * g + 1] = codes_to_digits(codes, 2 * g + 1, q)
     mat[:, 2 * g + 1] = 1
     return mat
 
@@ -219,6 +196,13 @@ class TraceEngine:
     The matmul is exact: its entries are integers of at most (2g+2)(q-1)^2,
     and construction refuses (q, g) where that reaches 2^24.
 
+    Newton's identities run in int64, so construction also refuses N where a
+    partial sum could pass 2^63.  With |A_i| <= C(2g,i) q^(i/2) and
+    |s_m| <= 2g q^(m/2), every partial sum of -n A_n - sum_{i<n} A_i s_{n-i}
+    is at most K_n q^(n/2), K_n = n C(2g,n) + 2g sum_{0<i<n} C(2g,i).  That
+    bound grows with n, so n = N is the one to check; at (13, 2) it allows
+    N <= 30.
+
     The explicit formula -s_n = sum_{d | n} d (c_d if n/d is odd, else
     pi_d - z_d) gives s_n for n <= g; `coefficients_from_traces` and
     `_newton_matrix` do the rest.
@@ -231,6 +215,11 @@ class TraceEngine:
             raise ValueError(
                 f"residue products reach (2g+2)(q-1)^2 = {bound} >= 2^24 at q={q}, "
                 f"g={g}; float32 would not hold them exactly")
+        k_n = N * math.comb(2 * g, N) + 2 * g * sum(math.comb(2 * g, i) for i in range(1, N))
+        if k_n ** 2 * q ** N >= 2 ** 126:
+            raise ValueError(
+                f"Newton partial sums for s_{N} may reach {k_n} q^(N/2) >= 2^63 at q={q}, "
+                f"g={g}; lower N")
         self.q, self.g, self.N = q, g, N
         self.residue_dtype = np.int16 if bound < 2 ** 15 else np.int32
         table = get_prime_table(q, max(g, 1))
@@ -345,7 +334,7 @@ def _char_table(prime, q):
     """Quadratic-character lookup for F_q[x]/(prime), indexed by residue code."""
     d = len(prime) - 1
     size = q ** d
-    digits = _codes_to_digits(np.arange(size, dtype=np.int64), d, q).astype(np.int64)
+    digits = codes_to_digits(np.arange(size, dtype=np.int64), d, q).astype(np.int64)
     sq = np.zeros((size, 2 * d - 1), np.int64)
     for i in range(d):
         for j in range(d):
@@ -432,12 +421,11 @@ class EnsembleData:
         return EnsembleData(self.q, self.g, N, self.codes, self.coeffs, self.s[:, :N])
 
 
-def compute_ensemble_data(q, g, N, workers=1, budget=DEFAULT_BUDGET):
+def compute_ensemble_data(q, g, N, *, budget=DEFAULT_BUDGET):
     """Traces s_1..s_N for every curve of the ensemble, in enumeration order.
 
-    `workers` is accepted for callers and configs but does not change the
-    computation: the chunks run in the calling thread (a thread pool lost to
-    one thread at every measured point, as BLAS already threads the matmul).
+    The chunks run in the calling thread: a thread pool lost to one thread
+    at every measured point, as BLAS already threads the matmul.
     """
     codes = squarefree_codes(q, g, budget)
     coeffs = curve_coeff_matrix(q, g, codes)

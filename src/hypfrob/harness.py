@@ -57,7 +57,7 @@ class ExperimentConfig:
     degrees: tuple = (1, 2)
     alpha_max: int = 4
     beta_max: int = None
-    workers: int = 1
+    workers: int = 1     # parsed and checked; no computation depends on it
     cache_dir: str = None
     out_dir: str = "reports"
     fmt: str = "csv"
@@ -102,8 +102,7 @@ def load_config_file(path):
 
 # -- cached ensemble data ---------------------------------------------------------
 
-def load_or_compute_data(q, g, N, cache_dir=None, workers=1, budget=ens.DEFAULT_BUDGET,
-                         write=True):
+def load_or_compute_data(q, g, N, cache_dir=None, budget=ens.DEFAULT_BUDGET, write=True):
     """Trace data from a warm cache when possible, else computed and cached.
 
     Returns (EnsembleData, from_cache).  Cached files holding deeper traces
@@ -123,7 +122,7 @@ def load_or_compute_data(q, g, N, cache_dir=None, workers=1, budget=ens.DEFAULT_
                     return data.sliced(N), True
         except cachemod.CacheFormatError:
             pass  # stale or foreign file: rebuild below
-    data = ens.compute_ensemble_data(q, g, N, workers=workers, budget=budget)
+    data = ens.compute_ensemble_data(q, g, N, budget=budget)
     if write and cache_dir:
         cachemod.write_trace_cache(cachemod.trace_cache_path(cache_dir, q, g, N), data)
     return data, False
@@ -180,8 +179,7 @@ def _battery(q):
     ]
 
 
-def verify_suite(q, g, workers=1, cache_dir=None, budget=ens.DEFAULT_BUDGET,
-                 exhaustive=None):
+def verify_suite(q, g, cache_dir=None, budget=ens.DEFAULT_BUDGET, exhaustive=None):
     """Structural invariants over the full ensemble.
 
     Exhaustive per-curve checks (full coefficient enumeration, dual trace
@@ -193,12 +191,11 @@ def verify_suite(q, g, workers=1, cache_dir=None, budget=ens.DEFAULT_BUDGET,
     spec.check_budget(budget)
     N = 2 * g + 2
     checks = []
-    data, from_cache = load_or_compute_data(q, g, N, cache_dir=cache_dir,
-                                            workers=workers, budget=budget)
+    data, from_cache = load_or_compute_data(q, g, N, cache_dir=cache_dir, budget=budget)
     checks.append(("cardinality", data.count == spec.count,
                    f"{data.count} curves vs (q-1)q^(2g) = {spec.count}"))
     if from_cache:
-        fresh = ens.compute_ensemble_data(q, g, N, workers=workers, budget=budget)
+        fresh = ens.compute_ensemble_data(q, g, N, budget=budget)
         same = (np.array_equal(fresh.s, data.s)
                 and np.array_equal(fresh.coeffs, data.coeffs))
         checks.append(("cache consistency", same,
@@ -436,10 +433,8 @@ def _out_path(config, stem):
 
 def _cmd_primes(config):
     depth = config.N if config.N is not None else max(6, 2 * config.g + 2)
-    table, from_cache = cachemod.load_or_build_prime_table(
-        config.cache_dir, config.q, depth)
-    lines = [f"prime table q={config.q} through degree {table.max_degree} "
-             f"({'cache' if from_cache else 'built'})"]
+    table = get_prime_table(config.q, depth)
+    lines = [f"prime table q={config.q} through degree {depth}"]
     lines += [f"  pi_{config.q}({d}) = {table.counts[d]}" for d in range(1, depth + 1)]
     if config.dump:
         for d in range(1, depth + 1):
@@ -452,8 +447,7 @@ def _cmd_verify(config):
     lines, paths = [], []
     code = 0
     for g in config.g_range():
-        result = verify_suite(config.q, g, workers=config.workers,
-                              cache_dir=config.cache_dir, budget=config.budget)
+        result = verify_suite(config.q, g, cache_dir=config.cache_dir, budget=config.budget)
         lines.append(f"verify q={config.q} g={g}: {result.curves} curves, "
                      f"{result.elapsed:.2f}s")
         lines += ["  " + ln for ln in result.lines()]
@@ -468,7 +462,7 @@ def _cmd_lfun(config):
         N = config.N if config.N is not None else 2 * g + 2
         # s_1..s_g fix the completed coefficients, so load at least that deep
         data, _ = load_or_compute_data(config.q, g, max(N, g), cache_dir=config.cache_dir,
-                                       workers=config.workers, budget=config.budget)
+                                       budget=config.budget)
         A = ens.coefficients_from_traces(data.s, config.q, g)
         data = data.sliced(N)
         rows = []
@@ -495,7 +489,7 @@ def _cmd_moment(config):
         if N < need:
             raise ConfigError(f"N={N} below max requested power {need}")
         data, _ = load_or_compute_data(config.q, g, N, cache_dir=config.cache_dir,
-                                       workers=config.workers, budget=config.budget)
+                                       budget=config.budget)
         for sp in specs:
             rep = ens.trace_product_moment(data, sp)
             reports.append(rep)
@@ -517,8 +511,7 @@ def _cmd_decompose(config):
         ks = [config.k] if config.k else list(range(2, min(2 * g + 2, 10)))
         N = config.N if config.N is not None else max(ks)
         data, _ = load_or_compute_data(config.q, g, max(N, max(ks)),
-                                       cache_dir=config.cache_dir,
-                                       workers=config.workers, budget=config.budget)
+                                       cache_dir=config.cache_dir, budget=config.budget)
         decomp = ens.DecompositionData.build(data)
         rows = decompose_report_rows(decomp, ks, l=config.l)
         path = _out_path(config, f"decompose_q{config.q}_g{g}")
@@ -613,7 +606,7 @@ def _cmd_linstat(config):
         modes = linstat.active_modes(tf, 2 * g)
         N = config.N if config.N is not None else max(modes, default=1)
         data, _ = load_or_compute_data(config.q, g, N, cache_dir=config.cache_dir,
-                                       workers=config.workers, budget=config.budget)
+                                       budget=config.budget)
         rep = linstat.z_moments(data, tf, config.moments)
         reports.append(rep)
         devs = ", ".join(f"{d:.6f}" for d in rep.deviations)
@@ -632,28 +625,19 @@ def _cmd_linstat(config):
 def _cmd_dump_cache(config):
     if not config.path:
         raise ConfigError("dump-cache needs --path")
-    with open(config.path, "rb") as fh:
-        magic = fh.read(4)
-    lines = []
-    if magic == cachemod.PT_MAGIC:
-        table = cachemod.read_prime_table(config.path)
-        lines.append(f"prime table q={table.q} max degree {table.max_degree}")
-        for d in range(1, table.max_degree + 1):
-            for prime in table.irreducibles(d):
-                lines.append(",".join(str(c) for c in prime))
-        return ExperimentResult(0, lines, [])
-    if magic == cachemod.TR_MAGIC:
+    try:
         q, g, N, coeffs, s = cachemod.read_trace_cache(config.path)
-        rows = []
-        for i in range(len(coeffs)):
-            row = {f"c{j}": int(v) for j, v in enumerate(coeffs[i])}
-            row.update({f"s{n}": int(v) for n, v in enumerate(s[i], start=1)})
-            rows.append(row)
-        path = _out_path(config, os.path.basename(config.path).rsplit(".", 1)[0])
-        write_report(path, rows, "csv" if config.fmt == "json" else config.fmt)
-        lines.append(f"trace cache q={q} g={g} N={N}: {len(rows)} records -> {path}")
-        return ExperimentResult(0, lines, [path])
-    raise ConfigError(f"{config.path}: not a recognized cache file")
+    except cachemod.CacheFormatError as exc:
+        raise ConfigError(f"not a trace cache: {exc}")
+    rows = []
+    for i in range(len(coeffs)):
+        row = {f"c{j}": int(v) for j, v in enumerate(coeffs[i])}
+        row.update({f"s{n}": int(v) for n, v in enumerate(s[i], start=1)})
+        rows.append(row)
+    path = _out_path(config, os.path.basename(config.path).rsplit(".", 1)[0])
+    write_report(path, rows, "csv" if config.fmt == "json" else config.fmt)
+    lines = [f"trace cache q={q} g={g} N={N}: {len(rows)} records -> {path}"]
+    return ExperimentResult(0, lines, [path])
 
 
 _COMMANDS = {

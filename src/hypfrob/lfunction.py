@@ -59,11 +59,13 @@ class Curve:
 
 @dataclass(frozen=True)
 class LData:
-    """Dirichlet coefficients A(beta) and the completed coefficients Astar."""
+    """Dirichlet coefficients A(beta) and the completed coefficients Astar.
+
+    The moduli are of odd degree 2g+1, so there is no trivial zero and the
+    completed polynomial is A itself, of degree 2g.
+    """
     A: tuple          # beta = 0 .. 2g
-    lam: int          # trivial-zero count; 0 for odd-degree moduli
-    delta: int        # half-degree of the completed polynomial
-    Astar: tuple      # beta = 0 .. 2*delta
+    Astar: tuple      # beta = 0 .. 2g
 
 
 def dirichlet_coefficients(curve, up_to=None, strategy="funceq"):
@@ -98,17 +100,15 @@ def complete_l(curve, A=None):
     A = tuple(A)
     if len(A) != 2 * g + 1:
         raise ValueError("need coefficients for beta = 0 .. 2g")
-    lam, delta = 0, g          # odd-degree modulus: no trivial zero
-    astar = A
-    if astar[0] != 1:
+    if A[0] != 1:
         raise FunctionalEquationError("constant coefficient must be 1")
-    for beta in range(delta, 2 * delta + 1):
-        expected = q ** (beta - delta) * astar[2 * delta - beta]
-        if astar[beta] != expected:
+    for beta in range(g, 2 * g + 1):
+        expected = q ** (beta - g) * A[2 * g - beta]
+        if A[beta] != expected:
             raise FunctionalEquationError(
                 f"coefficient symmetry fails at beta={beta}: "
-                f"{astar[beta]} != {expected}")
-    return LData(A=A, lam=lam, delta=delta, Astar=astar)
+                f"{A[beta]} != {expected}")
+    return LData(A=A, Astar=A)
 
 
 def newton_power_sums(coeffs, N):
@@ -251,7 +251,7 @@ def eigenphases(ldata, q):
             if theta <= -math.pi:  # a root on the negative real axis: pi, not -pi
                 theta += 2 * math.pi
             thetas.extend([theta] * mult)
-    if len(thetas) != 2 * ldata.delta:
+    if len(thetas) != len(ldata.Astar) - 1:
         raise ArithmeticError("root multiplicities do not add up to the degree")
     thetas.sort()
     return tuple(thetas)

@@ -66,18 +66,6 @@ class TestFunction:
                 break
         return value
 
-    def at_float(self, u):
-        u = abs(float(u))
-        if u >= float(self.radius):
-            return 0.0
-        value = 0.0
-        for start, coeffs in self.pieces:
-            if u >= float(start):
-                value = sum(float(c) * u ** i for i, c in enumerate(coeffs))
-            else:
-                break
-        return value
-
     @property
     def triangle_order(self):
         """m when this is the triangular transform max(0, 1 - m|u|), else None."""

@@ -11,11 +11,13 @@ the integer code
 
     code(f) = sum_{i < d} f[i] * p^i
 
-over the non-leading coefficients.  Enumeration, the choice of extension
-moduli and trial-division order all follow this order.
+over the non-leading coefficients.  Enumeration, prime tables and the
+choice of extension moduli all follow this order.
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 ZERO = ()
 ONE = (1,)
@@ -133,10 +135,6 @@ def poly_mod(f, g, p):
     return poly_divmod(f, g, p)[1]
 
 
-def poly_div(f, g, p):
-    return poly_divmod(f, g, p)[0]
-
-
 def make_monic(f, p):
     """Return (monic associate, unit) with f = unit * monic."""
     if not f:
@@ -208,6 +206,39 @@ def monic_polys(d, p):
         yield monic_from_code(code, d, p)
 
 
+def codes_to_digits(codes, length, p):
+    """(n, length) array of the base-p digits of each code, lowest first."""
+    out = np.empty((len(codes), length), np.min_scalar_type(p - 1))
+    rest = codes.astype(np.int64, copy=True)
+    for i in range(length):
+        out[:, i] = rest % p
+        rest //= p
+    return out
+
+
+def monic_multiple_codes(f, D, p):
+    """Codes of the monic multiples f*B of degree D, ascending in the code of B.
+
+    With k = D - deg f, f*B = x^k f + sum_{i<k} b_i x^i f, so the digit rows
+    of the multiples are the F_p-span of the shifted copies x^i f over the
+    fixed row x^k f: one broadcast add reduced mod p per coefficient b_i.
+    """
+    e = degree(f)
+    k = D - e
+    if not is_monic(f) or k < 0:
+        raise ValueError(f"need a monic polynomial of degree <= {D}")
+    dtype = np.min_scalar_type((p - 1) ** 2)
+    shifted = np.zeros((k + 1, D + 1), dtype)
+    for i in range(k + 1):
+        shifted[i, i:i + e + 1] = f
+    scale = np.arange(p, dtype=dtype)[:, None]
+    rows = shifted[k:, :D]
+    for i in range(k - 1, -1, -1):
+        step = (scale * shifted[i, :D]) % p
+        rows = ((rows[:, None, :] + step) % p).reshape(-1, D)
+    return rows @ p ** np.arange(D, dtype=np.int64)
+
+
 # -- factorization -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -252,8 +283,9 @@ def irreducible_count(q, n):
 class PrimeTable:
     """Monic irreducibles of F_q[x] by degree, in canonical order.
 
-    Immutable after construction; the enumeration is cross-checked against
-    the closed-form count at build time.
+    Immutable after construction.  `build` sieves each degree d: every
+    product P*B with P a prime of degree <= d/2 is reducible, and what is
+    left is prime; the count is cross-checked against the closed form.
     """
 
     def __init__(self, q, max_degree, by_degree):
@@ -268,15 +300,18 @@ class PrimeTable:
         check_field(q)
         by_degree = {}
         for d in range(1, max_degree + 1):
-            found = []
-            for f in monic_polys(d, q):
-                if _trial_irreducible(f, d, by_degree, q):
-                    found.append(f)
-            if len(found) != irreducible_count(q, d):
+            reducible = np.zeros(q ** d, bool)
+            for e in range(1, d // 2 + 1):
+                for prime in by_degree[e]:
+                    reducible[monic_multiple_codes(prime, d, q)] = True
+            codes = np.flatnonzero(~reducible)
+            if len(codes) != irreducible_count(q, d):
                 raise ArithmeticError(
-                    f"irreducible enumeration mismatch at q={q}, degree {d}: "
-                    f"{len(found)} found, {irreducible_count(q, d)} expected")
-            by_degree[d] = tuple(found)
+                    f"irreducible sieve mismatch at q={q}, degree {d}: "
+                    f"{len(codes)} found, {irreducible_count(q, d)} expected")
+            rows = np.ones((len(codes), d + 1), np.int64)
+            rows[:, :d] = codes_to_digits(codes, d, q)
+            by_degree[d] = tuple(map(tuple, rows.tolist()))
         return cls(q, max_degree, by_degree)
 
     def irreducibles(self, n):
@@ -295,21 +330,12 @@ class PrimeTable:
             f = make_monic(f, self.q)[0]
         if d <= self.max_degree:
             return f in self._sets[d]
-        return _trial_irreducible(f, d, self.by_degree, self.q)
+        # beyond the table, factorize asks the memo for primes of degree <= d/2
+        return factorize(f, self.q).factors == ((f, 1),)
 
     def primes_up_to(self, max_deg):
         for d in range(1, max_deg + 1):
             yield from self.irreducibles(d)
-
-
-def _trial_irreducible(f, d, by_degree, q):
-    if d == 1:
-        return True
-    for e in range(1, d // 2 + 1):
-        for prime in by_degree[e]:
-            if not poly_mod(f, prime, q):
-                return False
-    return True
 
 
 _prime_tables = {}

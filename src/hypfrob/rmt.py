@@ -61,15 +61,6 @@ def usp_moment_exact(spec_or_terms, g):
     return RmtMoment(value=value, valid=total <= 2 * g + 1)
 
 
-def _trace_product(thetas, terms):
-    """prod_j (tr U^{k_j})^{a_j} with tr U^k = sum_i 2 cos(k theta_i)."""
-    out = 1.0
-    for k, a in terms:
-        tr = sum(2.0 * np.cos(k * t) for t in thetas)
-        out = out * tr ** a
-    return out
-
-
 def weyl_quadrature_moment(spec_or_terms, g, tol=QUADRATURE_TOL):
     """Numerical eigenphase-density integral of the trace product, g in {1, 2}.
 

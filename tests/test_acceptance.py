@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from hypfrob import cli
 from hypfrob import ensemble as ens
 from hypfrob import harness, linstat, rmt
 from hypfrob import polyfield as pf
@@ -17,10 +18,10 @@ from hypfrob.charsym import jacobi_symbol, residue_symbol_product
 _CACHE = {}
 
 
-def _data(q, g, N, workers=1):
-    key = (q, g, N, workers)
+def _data(q, g, N):
+    key = (q, g, N)
     if key not in _CACHE:
-        _CACHE[key] = ens.compute_ensemble_data(q, g, N, workers=workers)
+        _CACHE[key] = ens.compute_ensemble_data(q, g, N)
     return _CACHE[key]
 
 
@@ -319,32 +320,25 @@ def test_criterion_7_mock_gaussian_trend():
                    "dev(g=5) <= 1.2 * dev(g=3) and consecutive-g slack 20%")
 
 
-def test_criterion_8_determinism():
-    # identical bits for any worker count and across repeated runs
-    variants = {}
-    for workers in (1, 4, 16):
-        data = ens.compute_ensemble_data(3, 4, 9, workers=workers)
-        variants[workers] = data
-    again = ens.compute_ensemble_data(3, 4, 9, workers=4)
-    ok = all(np.array_equal(variants[1].s, v.s) and
-             np.array_equal(variants[1].coeffs, v.coeffs)
-             for v in variants.values())
-    ok = ok and np.array_equal(again.s, variants[4].s)
+def test_criterion_8_determinism(tmp_path):
+    # identical bits for any worker count and across repeated runs; worker
+    # counts exist only at the command line, so the ladder runs through it
+    def run(argv, workers):
+        base = tmp_path / f"{argv[0]}-w{workers}"
+        code = cli.main(argv + ["--workers", str(workers), "--format", "json",
+                                "--cache-dir", str(base / "cache"),
+                                "--out", str(base / "reports")])
+        assert code == 0
+        return {p.relative_to(base).as_posix(): p.read_bytes()
+                for p in sorted(base.rglob("*")) if p.is_file()}
 
-    # g = 5 with the same worker ladder
-    g5 = {}
-    for workers in (1, 4, 16):
-        g5[workers] = ens.compute_ensemble_data(3, 5, 9, workers=workers)
-    ok = ok and all(np.array_equal(g5[1].s, v.s) for v in g5.values())
-
-    # downstream outputs: exact strings from each variant must coincide
-    spec = ens.MomentSpec.parse("(4,2)")
-    empiricals = {w: ens.trace_product_moment(v, spec).empirical.exact_str()
-                  for w, v in variants.items()}
-    ok = ok and len(set(empiricals.values())) == 1
-    tf = linstat.triangular(3)
-    zreps = {w: [m.exact_str() for m in linstat.z_moments(v, tf, 3).raw_moments]
-             for w, v in g5.items()}
-    ok = ok and len({tuple(z) for z in zreps.values()}) == 1
+    # trace caches plus the moment report at g = 4, the statistic moments at g = 5
+    ladders = (["moment", "--q", "3", "--g", "4", "--N", "9", "--spec", "(4,2)"],
+               ["linstat", "--q", "3", "--g", "5", "--N", "9", "--tf", "triangular:3",
+                "--moments", "3"])
+    ok = True
+    for argv in ladders:
+        outputs = [run(argv, workers) for workers in (1, 4, 16)]
+        ok = ok and len(outputs[0]) == 2 and all(o == outputs[0] for o in outputs)
     assert _report(8, "bit-identical outputs across workers {1,4,16} and reruns", ok,
-                   "traces, moment report values, statistic moments")
+                   "trace caches, moment report values, statistic moments")

@@ -87,6 +87,13 @@ class TestExitCodes:
         code = run_cli(["moment", "--q", "3", "--g", "1", "--spec", "(2,1);(2,2)"])
         assert code == 2
 
+    def test_newton_depth_beyond_int64_refused(self, tmp_path, capsys):
+        code = run_cli(["moment", "--q", "13", "--g", "2", "--N", "31", "--spec", "(31,1)",
+                        "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path)])
+        assert code == 2
+        assert "2^63" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
+
     def test_invariant_failure_from_corrupt_cache(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
         data = ens.compute_ensemble_data(3, 1, 4)
@@ -123,6 +130,21 @@ class TestReports:
         # hand-derived over the 18 curves: <sum chi(P) over quadratic P> = 1/2
         # and <sum chi(P^2) over linear P> = 7/3, so <tr^2> = -(2/2 + 7/3)/3
         assert rows[0]["empirical_exact"] == "-10/9"
+
+    def test_workers_byte_identical(self, tmp_path):
+        # 62,500 curves, so the traces span several kernel chunks
+        outputs = []
+        for workers in (1, 2):
+            base = tmp_path / f"w{workers}"
+            assert run_cli(["moment", "--q", "5", "--g", "3", "--N", "8",
+                            "--spec", "(8,1)", "--spec", "(1,1);(6,2)",
+                            "--workers", str(workers), "--format", "json",
+                            "--cache-dir", str(base / "cache"),
+                            "--out", str(base / "reports")]) == 0
+            outputs.append({p.relative_to(base).as_posix(): p.read_bytes()
+                            for p in sorted(base.rglob("*")) if p.is_file()})
+        assert sorted(outputs[0]) == ["cache/traces_q5_g3_N8.bin", "reports/moment_q5_g3.json"]
+        assert outputs[0] == outputs[1]
 
     def test_warm_cache_matches_cold(self, tmp_path):
         cache = str(tmp_path / "cache")
@@ -168,6 +190,12 @@ class TestReports:
         out = capsys.readouterr().out
         assert "pi_3(3) = 8" in out
         assert "0,1" in out  # the prime x dumped as its coefficient list
+        assert not (tmp_path / "cache").exists()  # tables are built, never stored
+
+    def test_dump_cache_rejects_other_files(self, tmp_path):
+        path = tmp_path / "ptable_q3_d4.bin"
+        path.write_bytes(b"HFPT" + bytes(12))
+        assert run_cli(["dump-cache", "--path", str(path), "--out", str(tmp_path)]) == 2
 
     def test_charsum_and_sigma_commands(self, tmp_path, capsys):
         out = str(tmp_path / "reports")

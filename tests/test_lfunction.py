@@ -43,10 +43,6 @@ class TestDirichletCoefficients:
 
 
 class TestCompleteL:
-    def test_no_trivial_zero_for_odd_degree(self, data_g1):
-        for i in range(data_g1.count):
-            assert lf.complete_l(data_g1.curve(i)).lam == 0
-
     def test_example_polynomial(self):
         assert lf.complete_l(EXAMPLE).Astar == (1, 3, 3)
 
@@ -124,17 +120,10 @@ class TestEigenphases:
         for i in range(0, data_g2.count, 23):
             assert len(lf.eigenphases(lf.complete_l(data_g2.curve(i)), 3)) == 4
 
-    def test_trivial_zero_branch_is_typed(self):
-        # even-degree moduli would carry lam = 1; the ensemble never produces
-        # them, but the completed data type and downstream ops accept the flag
-        ld = lf.LData(A=(1, 3, 3), lam=1, delta=1, Astar=(1, 3, 3))
-        assert lf.traces_from_lpoly(ld, 2) == [-3, 3]
-        assert len(lf.eigenphases(ld, 3)) == 2
-
     def test_magnitude_violation_aborts(self):
         # 1 + 4u + 3u^2 = (1 + u)(1 + 3u) passes the symmetry check at the
         # middle coefficient but has roots off the critical circle
-        bad = lf.LData(A=(1, 4, 3), lam=0, delta=1, Astar=(1, 4, 3))
+        bad = lf.LData(A=(1, 4, 3), Astar=(1, 4, 3))
         with pytest.raises(lf.RootMagnitudeError):
             lf.eigenphases(bad, 3)
 

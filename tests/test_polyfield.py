@@ -2,8 +2,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypfrob import polyfield as pf
+
+FIELDS = (3, 5, 7, 11, 13)
 
 
 def P(coeffs, p=3):
@@ -16,6 +20,27 @@ def np_mul(f, g, p):
         return ()
     out = np.convolve(np.array(f, dtype=np.int64), np.array(g, dtype=np.int64)) % p
     return pf.normalize(tuple(int(c) for c in out))
+
+
+def trial_division_primes(q, max_degree):
+    """Reference prime table: the monic polynomials of each degree d with no
+    remainder-free division by a prime of degree <= d/2."""
+    by_degree = {}
+    for d in range(1, max_degree + 1):
+        by_degree[d] = tuple(
+            f for f in pf.monic_polys(d, q)
+            if all(pf.poly_mod(f, prime, q) for e in range(1, d // 2 + 1)
+                   for prime in by_degree[e]))
+    return by_degree
+
+
+def polys(q, max_degree=8, nonzero=False):
+    """Polynomials over F_q of degree <= max_degree, nonzero on request."""
+    low = st.lists(st.integers(0, q - 1), max_size=max_degree)
+    if not nonzero:
+        return low.map(lambda c: pf.poly(c, q))
+    return st.tuples(low, st.integers(1, q - 1)).map(
+        lambda t: pf.poly(t[0] + [t[1]], q))
 
 
 class TestRingOps:
@@ -180,6 +205,71 @@ class TestPrimeTable:
         table = pf.PrimeTable.build(3, 2)
         with pytest.raises(ValueError):
             table.irreducibles(3)
+
+    @pytest.mark.parametrize("q,depth", [(3, 8), (5, 5), (7, 4), (11, 3), (13, 3)])
+    def test_sieve_matches_trial_division(self, q, depth):
+        assert q ** depth <= 3 ** 8
+        table = pf.PrimeTable.build(q, depth)
+        oracle = trial_division_primes(q, depth)
+        for d in range(1, depth + 1):
+            assert table.irreducibles(d) == oracle[d]
+
+    def test_is_irreducible_beyond_table_depth(self):
+        table = pf.PrimeTable.build(3, 2)
+        oracle = trial_division_primes(3, 6)
+        for d in range(3, 7):
+            primes = set(oracle[d])
+            for f in pf.monic_polys(d, 3):
+                assert table.is_irreducible(f) == (f in primes)
+                assert table.is_irreducible(pf.scalar_mul(2, f, 3)) == (f in primes)
+
+    def test_monic_multiple_codes(self):
+        # (x + 1) * (x^2 + b1 x + b0) over F_3, B in code order
+        f = P((1, 1))
+        expected = [pf.monic_code(pf.poly_mul(f, B, 3), 3) for B in pf.monic_polys(2, 3)]
+        assert pf.monic_multiple_codes(f, 3, 3).tolist() == expected
+        assert pf.monic_multiple_codes(f, 1, 3).tolist() == [1]
+        with pytest.raises(ValueError):
+            pf.monic_multiple_codes(P((1, 2)), 3, 3)
+
+
+class TestProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(FIELDS), st.data())
+    def test_divmod_identity_and_gcd_divisibility(self, q, data):
+        f = data.draw(polys(q))
+        g = data.draw(polys(q, max_degree=5, nonzero=True))
+        quo, rem = pf.poly_divmod(f, g, q)
+        assert pf.degree(rem) < pf.degree(g)
+        assert pf.poly_add(pf.poly_mul(quo, g, q), rem, q) == f
+        d = pf.poly_gcd(f, g, q)
+        assert pf.is_monic(d)
+        assert not pf.poly_mod(f, d, q) and not pf.poly_mod(g, d, q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(FIELDS), st.data())
+    def test_factorize_round_trip(self, q, data):
+        f = data.draw(polys(q, nonzero=True))
+        fact = pf.factorize(f, q)
+        assert fact.reassemble(q) == f
+        primes = [prime for prime, _m in fact.factors]
+        assert len(set(primes)) == len(primes)
+        assert all(pf.is_monic(prime) and mult >= 1 for prime, mult in fact.factors)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(FIELDS), st.data())
+    def test_squarefree_against_factorization(self, q, data):
+        # f = h(x^q) has f' = 0, the branch gcd(f, f') cannot decide
+        if q <= 12 and data.draw(st.booleans()):
+            h = data.draw(polys(q, max_degree=12 // q, nonzero=True).filter(pf.degree))
+            f = [0] * (q * pf.degree(h) + 1)
+            f[::q] = h
+            f = tuple(f)
+            assert not pf.derivative(f, q)
+        else:
+            f = data.draw(polys(q, nonzero=True))
+        by_fact = all(m == 1 for _, m in pf.factorize(f, q).factors)
+        assert pf.is_squarefree(f, q) == by_fact
 
 
 class TestExtField:

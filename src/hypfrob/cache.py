@@ -19,6 +19,7 @@ import numpy as np
 
 TR_MAGIC = b"HFTR"
 VERSION = 1
+HEADER = struct.Struct("<4sIIIIQ")  # 28 bytes: magic, version, q, g, N, count
 
 
 class CacheFormatError(RuntimeError):
@@ -46,7 +47,7 @@ def trace_cache_path(cache_dir, q, g, N):
 
 def write_trace_cache(path, data):
     n, width = data.coeffs.shape
-    header = TR_MAGIC + struct.pack("<IIIIQ", VERSION, data.q, data.g, data.N, n)
+    header = HEADER.pack(TR_MAGIC, VERSION, data.q, data.g, data.N, n)
     dtype = np.dtype([("Q", np.uint8, (width,)), ("s", "<i8", (data.N,))])
     records = np.empty(n, dtype)
     records["Q"] = data.coeffs
@@ -58,14 +59,16 @@ def read_trace_cache(path):
     """Returns (q, g, N, coeffs, s); raises CacheFormatError on mismatch."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != TR_MAGIC:
+    if len(blob) < HEADER.size:
+        raise CacheFormatError(f"{path}: {len(blob)} bytes, shorter than the header")
+    magic, version, q, g, N, count = HEADER.unpack_from(blob)
+    if magic != TR_MAGIC:
         raise CacheFormatError(f"{path}: bad magic")
-    version, q, g, N, count = struct.unpack_from("<IIIIQ", blob, 4)
     if version != VERSION:
         raise CacheFormatError(f"{path}: version {version} != {VERSION}")
     width = 2 * g + 2
     dtype = np.dtype([("Q", np.uint8, (width,)), ("s", "<i8", (N,))])
-    body = blob[28:]
+    body = blob[HEADER.size:]
     if len(body) != count * dtype.itemsize:
         raise CacheFormatError(f"{path}: truncated record section")
     records = np.frombuffer(body, dtype)

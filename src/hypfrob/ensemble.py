@@ -19,7 +19,6 @@ thread, so results are bit-identical for any worker count.
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,13 +27,15 @@ import numpy as np
 from . import rmt
 from .charsym import jacobi_symbol
 from .exact import HalfPowerRational
-from .lfunction import Curve
+from .lfunction import Curve, prime_symbols, symbol_power_sum
 from .polyfield import (
     check_field,
     codes_to_digits,
     get_prime_table,
     irreducible_count,
+    is_squarefree,
     mobius,
+    monic_from_code,
     monic_multiple_codes,
     monic_polys,
     poly_mod,
@@ -153,13 +154,7 @@ def curve_coeff_matrix(q, g, codes):
 
 
 def curve_from_code(spec, code):
-    coeffs = []
-    rest = int(code)
-    for _ in range(spec.degree):
-        rest, c = divmod(rest, spec.q)
-        coeffs.append(c)
-    coeffs.append(1)
-    return Curve(q=spec.q, g=spec.g, Q=tuple(coeffs))
+    return Curve(q=spec.q, g=spec.g, Q=monic_from_code(int(code), spec.degree, spec.q))
 
 
 def enumerate_curves(spec, method="sieve", budget=DEFAULT_BUDGET):
@@ -168,7 +163,6 @@ def enumerate_curves(spec, method="sieve", budget=DEFAULT_BUDGET):
         for code in squarefree_codes(spec.q, spec.g, budget):
             yield curve_from_code(spec, int(code))
     elif method == "filter":
-        from .polyfield import is_squarefree, monic_from_code
         spec.check_budget(budget)
         for code in range(spec.q ** spec.degree):
             Q = monic_from_code(code, spec.degree, spec.q)
@@ -202,6 +196,12 @@ class TraceEngine:
     is at most K_n q^(n/2), K_n = n C(2g,n) + 2g sum_{0<i<n} C(2g,i).  That
     bound grows with n, so n = N is the one to check; at (13, 2) it allows
     N <= 30.
+
+    That refusal covers the int64 sums of `prime_symbol_sums` too: with
+    |d c_d|, d (pi_d - z_d) <= d pi_d <= q^d, each partial sum for degree n
+    is at most 2g q^(n/2) + sum_{d <= n/2} q^d < (2g + 3/2) q^(n/2), below
+    K_n q^(n/2) since K_1 = 2g (no higher powers at n = 1) and K_n >= 4g^2
+    for n >= 2.
 
     The explicit formula -s_n = sum_{d | n} d (c_d if n/d is odd, else
     pi_d - z_d) gives s_n for n <= g; `coefficients_from_traces` and
@@ -298,7 +298,7 @@ class TraceEngine:
 
         n c_n = -s_n - sum over prime powers P^e, e >= 2, of the exponent-e
         slice, which only involves lower degrees; integrality of the division
-        is asserted.
+        is asserted.  The sums are int64; the class docstring bounds them.
         """
         q, N = self.q, self.N
         n = s.shape[0]
@@ -400,17 +400,12 @@ class EnsembleData:
     q: int
     g: int
     N: int
-    codes: np.ndarray   # int64, ascending
-    coeffs: np.ndarray  # uint8 (n, 2g+2) including the leading 1
+    coeffs: np.ndarray  # uint8 (n, 2g+2) including the leading 1; rows in code order
     s: np.ndarray       # int64 (n, N)
 
     @property
     def count(self):
-        return len(self.codes)
-
-    @property
-    def spec(self):
-        return EnsembleSpec(self.q, self.g)
+        return len(self.coeffs)
 
     def curve(self, i):
         return Curve(q=self.q, g=self.g, Q=tuple(int(c) for c in self.coeffs[i]))
@@ -418,7 +413,7 @@ class EnsembleData:
     def sliced(self, N):
         if N > self.N:
             raise ValueError(f"data holds traces through N={self.N}, need {N}")
-        return EnsembleData(self.q, self.g, N, self.codes, self.coeffs, self.s[:, :N])
+        return EnsembleData(self.q, self.g, N, self.coeffs, self.s[:, :N])
 
 
 def compute_ensemble_data(q, g, N, *, budget=DEFAULT_BUDGET):
@@ -427,10 +422,9 @@ def compute_ensemble_data(q, g, N, *, budget=DEFAULT_BUDGET):
     The chunks run in the calling thread: a thread pool lost to one thread
     at every measured point, as BLAS already threads the matmul.
     """
-    codes = squarefree_codes(q, g, budget)
-    coeffs = curve_coeff_matrix(q, g, codes)
+    coeffs = curve_coeff_matrix(q, g, squarefree_codes(q, g, budget))
     s = TraceEngine(q, g, N).traces(coeffs)
-    return EnsembleData(q=q, g=g, N=N, codes=codes, coeffs=coeffs, s=s)
+    return EnsembleData(q=q, g=g, N=N, coeffs=coeffs, s=s)
 
 
 # -- exact ensemble averages ---------------------------------------------------
@@ -645,13 +639,11 @@ class EnsembleReport:
     dev_vs_squares: float
     dev_vs_rmt: float
     in_range: bool
-    wall_seconds: float
 
 
 def trace_product_moment(data, mspec):
     """Exact empirical mean of the trace product, with the finite-size
     squares prediction and the matrix-integral asymptote attached."""
-    t0 = time.perf_counter()
     if mspec.max_k > data.N:
         raise ValueError(f"traces available through N={data.N}, need k={mspec.max_k}")
     total = trace_product_total(data.s, mspec)
@@ -660,14 +652,12 @@ def trace_product_moment(data, mspec):
     squares = squares_prediction(data.q, mspec)
     moment = rmt.usp_moment_exact(mspec.terms, data.g)
     emp_f = float(empirical)
-    report = EnsembleReport(
+    return EnsembleReport(
         q=data.q, g=data.g, curves=data.count, spec=mspec, total=total,
         empirical=empirical, squares=squares, rmt_moment=moment,
         dev_vs_squares=abs(emp_f - float(squares)),
         dev_vs_rmt=abs(emp_f - float(moment.value)),
-        in_range=mspec.total <= 2 * data.g - 1,
-        wall_seconds=time.perf_counter() - t0)
-    return report
+        in_range=mspec.total <= 2 * data.g - 1)
 
 
 # -- decomposition of traces ---------------------------------------------------
@@ -689,34 +679,25 @@ class TermDecomposition:
     higher_part: int
 
 
-def term_decomposition(curve, k, table=None):
+def term_decomposition(curve, k, table=None, symbols=None):
     """Per-curve prime / prime-square / higher-power split of -tr Theta^k,
-    by direct character sums (definitional path)."""
-    q = curve.q
-    if table is None:
-        table = get_prime_table(q, k)
-    higher = []
-    prime_sum = sum(jacobi_symbol(curve.Q, P, q) for P in table.irreducibles(k))
-    square_sum = 0
-    if k % 2 == 0:
-        square_sum = sum(jacobi_symbol(curve.Q, P, q) ** 2
-                         for P in table.irreducibles(k // 2))
-    for e in range(3, k + 1):
-        if k % e:
-            continue
-        d = k // e
-        if e % 2:
-            val = sum(jacobi_symbol(curve.Q, P, q) for P in table.irreducibles(d))
-        else:
-            val = sum(jacobi_symbol(curve.Q, P, q) ** 2 for P in table.irreducibles(d))
-        higher.append((e, d, val))
+    by direct character sums (definitional path).
+
+    `symbols`, a `prime_symbols` pass of curve.Q through degree >= k,
+    replaces the pass made here."""
+    if symbols is None:
+        symbols = prime_symbols(curve.Q, curve.q, k, table)
+    prime_sum = sum(symbols[k])
+    square_sum = symbol_power_sum(symbols, k // 2, 2) if k % 2 == 0 else 0
+    higher = tuple((e, k // e, symbol_power_sum(symbols, k // e, e))
+                   for e in range(3, k + 1) if k % e == 0)
     return TermDecomposition(
-        q=q, k=k,
+        q=curve.q, k=k,
         prime_symbol_sum=prime_sum,
         square_symbol_sum=square_sum,
-        higher_sums=tuple(higher),
+        higher_sums=higher,
         prime_part=k * prime_sum,
-        square_part=(k // 2) * square_sum if k % 2 == 0 else 0,
+        square_part=(k // 2) * square_sum,
         higher_part=sum(d * val for _e, d, val in higher))
 
 

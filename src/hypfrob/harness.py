@@ -7,6 +7,7 @@ Exit status contract: 0 ok, 1 hard invariant failure, 2 configuration
 error, 3 enumeration budget refusal.
 """
 
+import functools
 import json
 import math
 import os
@@ -19,7 +20,6 @@ import numpy as np
 from . import cache as cachemod
 from . import ensemble as ens
 from . import linstat, rmt
-from .charsym import jacobi_symbol
 from .exact import fraction_str
 from .lfunction import (
     FunctionalEquationError,
@@ -27,8 +27,9 @@ from .lfunction import (
     complete_l,
     dirichlet_coefficients,
     eigenphases,
-    explicit_trace_sum,
+    explicit_sum,
     point_count_direct,
+    prime_symbols,
     traces_explicit,
     traces_from_eigenphases,
     traces_from_lpoly,
@@ -115,10 +116,7 @@ def load_or_compute_data(q, g, N, cache_dir=None, budget=ens.DEFAULT_BUDGET, wri
             if (cq, cg) == (q, g) and cN >= N:
                 spec = ens.EnsembleSpec(q, g)
                 if len(coeffs) == spec.count:
-                    qpow = q ** np.arange(2 * g + 1, dtype=np.int64)
-                    codes = coeffs[:, : 2 * g + 1].astype(np.int64) @ qpow
-                    data = ens.EnsembleData(q=q, g=g, N=cN, codes=codes,
-                                            coeffs=coeffs, s=s)
+                    data = ens.EnsembleData(q=q, g=g, N=cN, coeffs=coeffs, s=s)
                     return data.sliced(N), True
         except cachemod.CacheFormatError:
             pass  # stale or foreign file: rebuild below
@@ -160,23 +158,89 @@ def _reflect_phase(t):
 
 def _battery(q):
     """Per-modulus functionals, total on all monic arguments, for the
-    dual-average identity check."""
-    x = poly((0, 1), q)
-    x1 = poly((1, 1), q)
+    dual-average identity check.  All ten read one memo, local to this
+    call, of each modulus M's (M/x), (M/(x+1)) and explicit sums t_1..t_3,
+    taken from one `prime_symbols` pass through degree 3."""
     table = get_prime_table(q, 3)
-    return [
-        ("one", lambda M: 1),
-        ("chi(x)", lambda M: jacobi_symbol(M, x, q)),
-        ("chi(x+1)", lambda M: jacobi_symbol(M, x1, q)),
-        ("chi(x)^2", lambda M: jacobi_symbol(M, x, q) ** 2),
-        ("chi(x(x+1))", lambda M: jacobi_symbol(M, x, q) * jacobi_symbol(M, x1, q)),
-        ("t1", lambda M: explicit_trace_sum(M, q, 1, table)),
-        ("t2", lambda M: explicit_trace_sum(M, q, 2, table)),
-        ("t1^2", lambda M: explicit_trace_sum(M, q, 1, table) ** 2),
-        ("t1*t2", lambda M: (explicit_trace_sum(M, q, 1, table)
-                             * explicit_trace_sum(M, q, 2, table))),
-        ("t3", lambda M: explicit_trace_sum(M, q, 3, table)),
-    ]
+    linear = table.irreducibles(1)
+    at_x, at_x1 = linear.index(poly((0, 1), q)), linear.index(poly((1, 1), q))
+
+    @functools.cache
+    def values(M):  # (chi(x), chi(x+1), t1, t2, t3)
+        symbols = prime_symbols(M, q, 3, table)
+        return (symbols[1][at_x], symbols[1][at_x1],
+                *(explicit_sum(symbols, n) for n in (1, 2, 3)))
+
+    # each functional is the product of the listed entries of values(M)
+    factors = (("one", ()), ("chi(x)", (0,)), ("chi(x+1)", (1,)), ("chi(x)^2", (0, 0)),
+               ("chi(x(x+1))", (0, 1)), ("t1", (2,)), ("t2", (3,)), ("t1^2", (2, 2)),
+               ("t1*t2", (2, 3)), ("t3", (4,)))
+    return [(name, lambda M, idx=idx: math.prod(values(M)[j] for j in idx))
+            for name, idx in factors]
+
+
+class _Tally:
+    """One named check: how many items it checked, and its failures in order."""
+
+    def __init__(self, name, text):
+        self.name, self.text, self.checked, self.failures = name, text, 0, []
+
+    def record(self, where, ok, detail):
+        self.checked += 1
+        if not ok:
+            self.failures.append(f"{where}: {detail}")
+
+    def entry(self):
+        """(name, ok, detail); a failure adds the count and the first failure."""
+        if not self.failures:
+            return self.name, True, self.text
+        return self.name, False, (f"{self.text}; {len(self.failures)} of {self.checked} "
+                                  f"failed, first {self.failures[0]}")
+
+
+def _curve_checks(curve, row, N, explicit_N, point_N, strategy, table):
+    """The per-curve checks on one curve, as (check name, ok, failure detail).
+
+    One `prime_symbols` pass feeds the explicit traces, the prime-sum bound
+    and the power decomposition.  A curve whose L-data or eigenphases cannot
+    be formed fails that check and skips the checks that need them."""
+    q, g = curve.q, curve.g
+    try:
+        ld = complete_l(curve, dirichlet_coefficients(curve, strategy=strategy))
+    except FunctionalEquationError as exc:
+        yield "functional equation", False, str(exc)
+        return
+    yield "functional equation", ld.Astar[2 * g] == q ** g, "leading coefficient != q^g"
+    s = traces_from_lpoly(ld, N)
+    yield "engine agreement", list(row) == s, "engine trace mismatch"
+    symbols = prime_symbols(curve.Q, q, explicit_N, table)
+    yield ("dual trace paths", traces_explicit(curve, explicit_N, symbols=symbols)
+           == s[:explicit_N], "explicit vs Newton mismatch")
+    try:
+        theta = eigenphases(ld, q)
+    except RootMagnitudeError as exc:
+        yield "riemann hypothesis", False, str(exc)
+        return
+    yield "riemann hypothesis", True, None
+    neg = sorted(_reflect_phase(t) for t in theta)
+    paired = not any(abs(a - b) > 1e-8 for a, b in zip(sorted(theta), neg))
+    yield "eigenphase pairing", len(theta) == 2 * g and paired, "phases not negation-closed"
+    recon = traces_from_eigenphases(theta, q, N)
+    n = next((n for n in range(1, N + 1)
+              if abs(recon[n - 1] - s[n - 1]) > 1e-9 * q ** (n / 2)), None)
+    yield "trace reconstruction", n is None, f"phase-trace reconstruction off at n={n}"
+    n = next((n for n in range(1, N + 1) if s[n - 1] ** 2 > 4 * g * g * q ** n), None)
+    yield "unitarity bound", n is None, f"|s_{n}| > 2g q^(n/2)"
+    ns = range(1, explicit_N + 1)
+    n = next((n for n in ns if (n * sum(symbols[n])) ** 2 > (2 * g + 2) ** 2 * q ** n), None)
+    yield "prime-sum bound", n is None, f"prime-sum bound fails at n={n}"
+    splits = [ens.term_decomposition(curve, n, symbols=symbols) for n in ns]
+    n = next((n for n, d in zip(ns, splits)
+              if d.prime_part + d.square_part + d.higher_part != -s[n - 1]), None)
+    yield "power decomposition", n is None, f"decomposition identity fails at k={n}"
+    n = next((n for n in range(1, point_N + 1)
+              if point_count_direct(curve, n) != q ** n + 1 - s[n - 1]), None)
+    yield "point counts", n is None, f"point count mismatch at n={n}"
 
 
 def verify_suite(q, g, cache_dir=None, budget=ens.DEFAULT_BUDGET, exhaustive=None):
@@ -184,7 +248,8 @@ def verify_suite(q, g, cache_dir=None, budget=ens.DEFAULT_BUDGET, exhaustive=Non
 
     Exhaustive per-curve checks (full coefficient enumeration, dual trace
     paths, eigenphases, point counts) run for every curve at small genus
-    and on a deterministic stride sample at larger genus.
+    and on a deterministic stride sample at larger genus.  A failing check
+    reports how many curves failed it and the first.
     """
     t0 = time.perf_counter()
     spec = ens.EnsembleSpec(q, g)
@@ -196,102 +261,45 @@ def verify_suite(q, g, cache_dir=None, budget=ens.DEFAULT_BUDGET, exhaustive=Non
                    f"{data.count} curves vs (q-1)q^(2g) = {spec.count}"))
     if from_cache:
         fresh = ens.compute_ensemble_data(q, g, N, budget=budget)
-        same = (np.array_equal(fresh.s, data.s)
-                and np.array_equal(fresh.coeffs, data.coeffs))
-        checks.append(("cache consistency", same,
-                       "cached traces match a fresh computation" if same
-                       else "cached traces DIFFER from a fresh computation"))
+        bad = np.flatnonzero((fresh.s != data.s).any(axis=1)
+                             | (fresh.coeffs != data.coeffs).any(axis=1))
+        checks.append(("cache consistency", not len(bad),
+                       f"cached traces DIFFER from a fresh computation; {len(bad)} of "
+                       f"{data.count} differ, first curve {bad[0]}" if len(bad)
+                       else "cached traces match a fresh computation"))
 
     if exhaustive is None:
         exhaustive = g <= 2
     stride = 1 if exhaustive else max(1, data.count // 400)
-    sample = range(0, data.count, stride)
-    fe_ok = rh_ok = dual_ok = engine_ok = pair_ok = recon_ok = True
-    bound_ok = weil_ok = split_ok = points_ok = True
-    detail = {}
+    scope = "all curves" if stride == 1 else f"every {stride}th curve"
     explicit_N = N if g <= 2 else min(N, 6)
     point_N = 3 if g <= 2 else 2
+    tallies = {name: _Tally(name, f"{text}, {scope}") for name, text in (
+        ("functional equation", "exact coefficient symmetry"),
+        ("riemann hypothesis", "root magnitudes within 1e-9 of q^(-1/2)"),
+        ("dual trace paths", f"explicit sums == Newton power sums (n <= {explicit_N})"),
+        ("engine agreement", "vectorized pipeline == per-curve path"),
+        ("eigenphase pairing", "2g phases, closed under negation"),
+        ("trace reconstruction", "phases reproduce s_n to 1e-9 q^(n/2)"),
+        ("unitarity bound", "|s_n| <= 2g q^(n/2)"),
+        ("prime-sum bound", "|n c_n| <= (2g+2) q^(n/2)"),
+        ("power decomposition", "prime+square+higher == -s_k"),
+        ("point counts", f"direct == q^n + 1 - s_n (n <= {point_N})"))}
+    strategy = "enumerate" if exhaustive else "funceq"
     table = get_prime_table(q, explicit_N)
-    for i in sample:
-        curve = data.curve(i)
-        strategy = "enumerate" if exhaustive else "funceq"
-        try:
-            ld = complete_l(curve, dirichlet_coefficients(curve, strategy=strategy))
-        except FunctionalEquationError as exc:
-            fe_ok = False
-            detail.setdefault("fe", str(exc))
-            continue
-        if ld.Astar[2 * g] != q ** g:
-            fe_ok = False
-            detail.setdefault("fe", f"leading coefficient != q^g at curve {i}")
-        s_newton = traces_from_lpoly(ld, N)
-        if list(data.s[i]) != s_newton:
-            engine_ok = False
-            detail.setdefault("engine", f"engine trace mismatch at curve {i}")
-        s_explicit = traces_explicit(curve, explicit_N, table)
-        if s_explicit != s_newton[:explicit_N]:
-            dual_ok = False
-            detail.setdefault("dual", f"explicit vs Newton mismatch at curve {i}")
-        try:
-            theta = eigenphases(ld, q)
-        except RootMagnitudeError as exc:
-            rh_ok = False
-            detail.setdefault("rh", str(exc))
-            continue
-        if len(theta) != 2 * g:
-            pair_ok = False
-        neg = sorted(_reflect_phase(t) for t in theta)
-        if any(abs(a - b) > 1e-8 for a, b in zip(sorted(theta), neg)):
-            pair_ok = False
-            detail.setdefault("pair", f"phases not negation-closed at curve {i}")
-        recon = traces_from_eigenphases(theta, q, N)
-        if any(abs(r - sn) > 1e-9 * q ** (n / 2)
-               for n, (r, sn) in enumerate(zip(recon, s_newton), start=1)):
-            recon_ok = False
-            detail.setdefault("recon", f"phase-trace reconstruction off at curve {i}")
-        for n in range(1, N + 1):
-            if s_newton[n - 1] ** 2 > 4 * g * g * q ** n:
-                bound_ok = False
-                detail.setdefault("bound", f"|s_{n}| > 2g q^(n/2) at curve {i}")
-        for n in range(1, explicit_N + 1):
-            dec = ens.term_decomposition(curve, n, table)
-            if dec.prime_part + dec.square_part + dec.higher_part != -s_newton[n - 1]:
-                split_ok = False
-                detail.setdefault("split", f"decomposition identity fails at curve {i}, k={n}")
-            if (n * dec.prime_symbol_sum) ** 2 > (2 * g + 2) ** 2 * q ** n:
-                weil_ok = False
-                detail.setdefault("weil", f"prime-sum bound fails at curve {i}, n={n}")
-        for n in range(1, point_N + 1):
-            if point_count_direct(curve, n) != q ** n + 1 - s_newton[n - 1]:
-                points_ok = False
-                detail.setdefault("points", f"point count mismatch at curve {i}, n={n}")
-
-    scope = "all curves" if stride == 1 else f"every {stride}th curve"
-    checks.extend([
-        ("functional equation", fe_ok, f"exact coefficient symmetry, {scope}"),
-        ("riemann hypothesis", rh_ok, f"root magnitudes within 1e-9 of q^(-1/2), {scope}"),
-        ("dual trace paths", dual_ok,
-         f"explicit sums == Newton power sums (n <= {explicit_N}), {scope}"),
-        ("engine agreement", engine_ok, f"vectorized pipeline == per-curve path, {scope}"),
-        ("eigenphase pairing", pair_ok, f"2g phases, closed under negation, {scope}"),
-        ("trace reconstruction", recon_ok, f"phases reproduce s_n to 1e-9 q^(n/2), {scope}"),
-        ("unitarity bound", bound_ok, f"|s_n| <= 2g q^(n/2), {scope}"),
-        ("prime-sum bound", weil_ok, f"|n c_n| <= (2g+2) q^(n/2), {scope}"),
-        ("power decomposition", split_ok, f"prime+square+higher == -s_k, {scope}"),
-        ("point counts", points_ok, f"direct == q^n + 1 - s_n (n <= {point_N}), {scope}"),
-    ])
+    for i in range(0, data.count, stride):
+        for name, ok, detail in _curve_checks(data.curve(i), data.s[i], N, explicit_N,
+                                              point_N, strategy, table):
+            tallies[name].record(f"curve {i}", ok, detail)
+    checks.extend(tally.entry() for tally in tallies.values())
 
     if g <= 3:
-        battery_ok = True
+        averages = _Tally("dual averages", "direct == Moebius-decomposed for 10 functionals")
         for name, func in _battery(q):
             direct = ens.ensemble_average(spec, lambda c: func(c.Q), budget=budget)
             decomposed = ens.moebius_decomposed_average(spec, func, budget=budget)
-            if direct != decomposed:
-                battery_ok = False
-                detail.setdefault("battery", f"dual averages differ for {name}")
-                break
-        checks.append(("dual averages", battery_ok,
-                       "direct == Moebius-decomposed for 10 functionals"))
+            averages.record(name, direct == decomposed, f"{direct} != {decomposed}")
+        checks.append(averages.entry())
 
     try:
         zdata = ens.DecompositionData.build(data)

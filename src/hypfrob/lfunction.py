@@ -68,26 +68,23 @@ class LData:
     Astar: tuple      # beta = 0 .. 2g
 
 
-def dirichlet_coefficients(curve, up_to=None, strategy="funceq"):
-    """A(beta) = sum of chi_Q over monic B of degree beta, exact integers.
+def dirichlet_coefficients(curve, strategy="funceq"):
+    """A(beta) = sum of chi_Q over monic B of degree beta, beta = 0..2g,
+    exact integers (they vanish beyond 2g).
 
     strategy 'funceq' enumerates beta <= g and completes the upper half by
     the coefficient symmetry; 'enumerate' sums every degree directly (test
     oracle).
     """
     q, g, Q = curve.q, curve.g, curve.Q
-    if up_to is None:
-        up_to = 2 * g
-    if up_to > 2 * g:
-        raise ValueError("coefficients vanish beyond degree 2g; request up_to <= 2g")
     if strategy not in ("funceq", "enumerate"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    cut = up_to if strategy == "enumerate" else min(g, up_to)
-    coeffs = [0] * (up_to + 1)
+    cut = 2 * g if strategy == "enumerate" else g
+    coeffs = [0] * (2 * g + 1)
     coeffs[0] = 1
     for beta in range(1, cut + 1):
         coeffs[beta] = sum(jacobi_symbol(Q, B, q) for B in monic_polys(beta, q))
-    for beta in range(cut + 1, up_to + 1):
+    for beta in range(cut + 1, 2 * g + 1):
         coeffs[beta] = q ** (beta - g) * coeffs[2 * g - beta]
     return coeffs
 
@@ -134,29 +131,40 @@ def traces_from_lpoly(ldata, N):
     return newton_power_sums(ldata.Astar, N)
 
 
+def prime_symbols(D, q, n, table=None):
+    """(D/P) for every prime P of degree <= n, one `jacobi_symbol` call each:
+    entry d holds the degree-d primes' symbols in table order, entry 0 is
+    empty.  The character sums over prime powers below reduce this pass."""
+    if table is None:
+        table = get_prime_table(q, n)
+    return [()] + [tuple(jacobi_symbol(D, prime, q) for prime in table.irreducibles(d))
+                   for d in range(1, n + 1)]
+
+
+def symbol_power_sum(symbols, d, e):
+    """Sum of (D/P)^e over the degree-d primes: the symbol sum for odd e,
+    the count of primes not dividing D for even e."""
+    return sum(symbols[d]) if e % 2 else sum(s * s for s in symbols[d])
+
+
+def explicit_sum(symbols, n):
+    """Sum over prime powers P^e of degree n of (deg P) (D/P)^e."""
+    return sum(d * symbol_power_sum(symbols, d, n // d)
+               for d in range(1, n + 1) if n % d == 0)
+
+
 def explicit_trace_sum(D, q, n, table=None):
     """-s_n-style character sum for an arbitrary monic modulus D:
     sum over prime powers P^e of degree n of (deg P) * (D/P)^e."""
-    if table is None:
-        table = get_prime_table(q, n)
-    total = 0
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        e = n // d
-        sub = 0
-        for prime in table.irreducibles(d):
-            sym = jacobi_symbol(D, prime, q)
-            sub += sym if e % 2 else sym * sym
-        total += d * sub
-    return total
+    return explicit_sum(prime_symbols(D, q, n, table), n)
 
 
-def traces_explicit(curve, N, table=None):
-    """s_n = -(von Mangoldt weighted character sum of degree n), exact."""
-    if table is None:
-        table = get_prime_table(curve.q, N)
-    return [-explicit_trace_sum(curve.Q, curve.q, n, table) for n in range(1, N + 1)]
+def traces_explicit(curve, N, table=None, symbols=None):
+    """s_n = -(von Mangoldt weighted character sum of degree n), exact;
+    `symbols`, a `prime_symbols` pass of curve.Q through degree >= N, is reused."""
+    if symbols is None:
+        symbols = prime_symbols(curve.Q, curve.q, N, table)
+    return [-explicit_sum(symbols, n) for n in range(1, N + 1)]
 
 
 def _qpoly_normalize(f):

@@ -334,7 +334,6 @@ class ZMomentReport:
     q: int
     g: int
     tf_name: str
-    m: int
     curves: int
     support_in_range: bool          # radius <= 1/m
     raw_moments: tuple              # QSqrt, exact
@@ -375,7 +374,7 @@ def z_moments(data, tf, m):
     refs = gaussian_raw_moments(mean_ref, var_ref, m)
     devs = tuple(abs(float(rm) - float(rf)) for rm, rf in zip(raw, refs))
     return ZMomentReport(
-        q=q, g=g, tf_name=tf.name, m=m, curves=n,
+        q=q, g=g, tf_name=tf.name, curves=n,
         support_in_range=tf.radius <= Fraction(1, m),
         raw_moments=tuple(raw), central_moments=tuple(central),
         mean_ref=mean_ref, variance_ref=var_ref,

@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypfrob import charsym as cs
 from hypfrob import polyfield as pf
+
+FIELDS = (3, 5, 7, 11, 13)
 
 
 def P(coeffs, p=3):
@@ -88,6 +92,42 @@ class TestJacobiSymbol:
                 for A2 in denoms:
                     lhs = cs.jacobi_symbol(B, pf.poly_mul(A1, A2, 3), 3)
                     assert lhs == cs.jacobi_symbol(B, A1, 3) * cs.jacobi_symbol(B, A2, 3)
+
+
+def polys(q, max_degree=5):
+    """Polynomials over F_q of degree <= max_degree, zero included."""
+    return st.lists(st.integers(0, q - 1), max_size=max_degree + 1).map(
+        lambda c: pf.poly(c, q))
+
+
+def monics(q, max_degree=4):
+    return st.lists(st.integers(0, q - 1), max_size=max_degree).map(
+        lambda c: pf.poly(c + [1], q))
+
+
+class TestJacobiProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(FIELDS), st.data())
+    def test_multiplicative_in_the_numerator(self, q, data):
+        A = data.draw(monics(q))
+        B1, B2 = data.draw(polys(q)), data.draw(polys(q))
+        assert (cs.jacobi_symbol(pf.poly_mul(B1, B2, q), A, q)
+                == cs.jacobi_symbol(B1, A, q) * cs.jacobi_symbol(B2, A, q))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(FIELDS), st.data())
+    def test_multiplicative_in_the_denominator(self, q, data):
+        A1, A2 = data.draw(monics(q)), data.draw(monics(q))
+        B = data.draw(polys(q))
+        assert (cs.jacobi_symbol(B, pf.poly_mul(A1, A2, q), q)
+                == cs.jacobi_symbol(B, A1, q) * cs.jacobi_symbol(B, A2, q))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(FIELDS), st.data())
+    def test_reciprocity(self, q, data):
+        A, B = data.draw(monics(q, 6)), data.draw(monics(q, 6))
+        sign = (-1) ** ((q - 1) // 2 * pf.degree(A) * pf.degree(B))
+        assert cs.jacobi_symbol(A, B, q) == sign * cs.jacobi_symbol(B, A, q)
 
 
 class TestCurveCharacter:

@@ -35,8 +35,9 @@ class TestEnumeration:
         with pytest.raises(ens.BudgetError):
             ens.squarefree_codes(3, 8, budget=10 ** 5)
 
-    def test_enumeration_order_is_code_order(self, data_g1):
-        assert list(data_g1.codes) == sorted(int(c) for c in data_g1.codes)
+    def test_enumeration_order_is_code_order(self):
+        codes = ens.squarefree_codes(3, 1)
+        assert list(codes) == sorted(int(c) for c in codes)
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +138,26 @@ class TestEngine:
             assert list(data.s[i]) == lf.traces_from_lpoly(ld, N)
         with pytest.raises(ValueError, match="2\\^63"):
             ens.TraceEngine(q, g, N + 1)
+
+    def test_prime_symbol_sums_exact_at_the_deepest_newton_depth(self):
+        # the int64 inversion sums against the same recursion in Python ints
+        q, g, N = 13, 2, 30
+        coeffs = ens.curve_coeff_matrix(q, g, ens.squarefree_codes(q, g))[::1709]
+        engine = ens.TraceEngine(q, g, N)
+        s = engine.traces(coeffs)
+        z = engine.divisor_degree_counts(coeffs)
+        c = engine.prime_symbol_sums(s, z)
+        for i in range(len(coeffs)):
+            exact = [0] * (N + 1)
+            for n in range(1, N + 1):
+                acc = -int(s[i, n - 1])
+                for d in range(1, n // 2 + 1):
+                    if n % d == 0:
+                        unzeroed = pf.irreducible_count(q, d) - int(z[i, d])
+                        acc -= d * (exact[d] if (n // d) % 2 else unzeroed)
+                assert acc % n == 0
+                exact[n] = acc // n
+            assert [int(v) for v in c[i]] == exact
 
     def test_divisor_counts_match_factorization(self, data_g2):
         engine = ens.TraceEngine(3, 2, 8)
@@ -303,7 +324,6 @@ class TestTraceProductMoment:
     def test_overflow_fallback_matches(self):
         fake = ens.EnsembleData(
             q=3, g=1, N=2,
-            codes=np.arange(4, dtype=np.int64),
             coeffs=np.zeros((4, 4), np.uint8),
             s=np.array([[2 ** 31, 5], [-2 ** 31, 7], [2 ** 31 - 9, -3], [17, 2]], np.int64))
         spec = ens.MomentSpec(((1, 2),))
@@ -519,3 +539,12 @@ class TestCacheRoundTrip:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(cachemod.CacheFormatError):
             cachemod.read_trace_cache(str(path))
+
+    def test_file_shorter_than_header_detected(self, tmp_path, data_g1):
+        path = tmp_path / "traces.bin"
+        cachemod.write_trace_cache(str(path), data_g1)
+        blob = path.read_bytes()
+        for size in range(cachemod.HEADER.size):
+            path.write_bytes(blob[:size])
+            with pytest.raises(cachemod.CacheFormatError):
+                cachemod.read_trace_cache(str(path))

@@ -97,14 +97,74 @@ class TestExitCodes:
     def test_invariant_failure_from_corrupt_cache(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
         data = ens.compute_ensemble_data(3, 1, 4)
-        tampered = ens.EnsembleData(q=3, g=1, N=4, codes=data.codes,
-                                    coeffs=data.coeffs, s=data.s.copy())
+        tampered = ens.EnsembleData(q=3, g=1, N=4, coeffs=data.coeffs, s=data.s.copy())
         tampered.s[0, 0] += 1
         cachemod.write_trace_cache(
             cachemod.trace_cache_path(cache_dir, 3, 1, 4), tampered)
         code = run_cli(["verify", "--q", "3", "--g", "1", "--cache-dir", cache_dir])
         assert code == 1
-        assert "FAIL" in capsys.readouterr().out
+        fails = [ln.strip() for ln in capsys.readouterr().out.splitlines() if "[FAIL]" in ln]
+        assert fails == [
+            "[FAIL] cache consistency: cached traces DIFFER from a fresh computation; "
+            "1 of 18 differ, first curve 0",
+            "[FAIL] engine agreement: vectorized pipeline == per-curve path, all curves; "
+            "1 of 18 failed, first curve 0: engine trace mismatch",
+            "[FAIL] divisor degrees: inversion failed: prime-sum inversion not integral at n=3",
+        ]
+
+
+# the lines of `verify_suite(q, g)` on a fresh ensemble, byte for byte
+VERIFY_LINES = {
+    (3, 1): """\
+[ok] cardinality: 18 curves vs (q-1)q^(2g) = 18
+[ok] functional equation: exact coefficient symmetry, all curves
+[ok] riemann hypothesis: root magnitudes within 1e-9 of q^(-1/2), all curves
+[ok] dual trace paths: explicit sums == Newton power sums (n <= 4), all curves
+[ok] engine agreement: vectorized pipeline == per-curve path, all curves
+[ok] eigenphase pairing: 2g phases, closed under negation, all curves
+[ok] trace reconstruction: phases reproduce s_n to 1e-9 q^(n/2), all curves
+[ok] unitarity bound: |s_n| <= 2g q^(n/2), all curves
+[ok] prime-sum bound: |n c_n| <= (2g+2) q^(n/2), all curves
+[ok] power decomposition: prime+square+higher == -s_k, all curves
+[ok] point counts: direct == q^n + 1 - s_n (n <= 3), all curves
+[ok] dual averages: direct == Moebius-decomposed for 10 functionals
+[ok] divisor degrees: max total divisor degree 3 <= 2g+1 (and prime-sum inversion integral)""",
+    (3, 2): """\
+[ok] cardinality: 162 curves vs (q-1)q^(2g) = 162
+[ok] functional equation: exact coefficient symmetry, all curves
+[ok] riemann hypothesis: root magnitudes within 1e-9 of q^(-1/2), all curves
+[ok] dual trace paths: explicit sums == Newton power sums (n <= 6), all curves
+[ok] engine agreement: vectorized pipeline == per-curve path, all curves
+[ok] eigenphase pairing: 2g phases, closed under negation, all curves
+[ok] trace reconstruction: phases reproduce s_n to 1e-9 q^(n/2), all curves
+[ok] unitarity bound: |s_n| <= 2g q^(n/2), all curves
+[ok] prime-sum bound: |n c_n| <= (2g+2) q^(n/2), all curves
+[ok] power decomposition: prime+square+higher == -s_k, all curves
+[ok] point counts: direct == q^n + 1 - s_n (n <= 3), all curves
+[ok] dual averages: direct == Moebius-decomposed for 10 functionals
+[ok] divisor degrees: max total divisor degree 5 <= 2g+1 (and prime-sum inversion integral)""",
+    (5, 1): """\
+[ok] cardinality: 100 curves vs (q-1)q^(2g) = 100
+[ok] functional equation: exact coefficient symmetry, all curves
+[ok] riemann hypothesis: root magnitudes within 1e-9 of q^(-1/2), all curves
+[ok] dual trace paths: explicit sums == Newton power sums (n <= 4), all curves
+[ok] engine agreement: vectorized pipeline == per-curve path, all curves
+[ok] eigenphase pairing: 2g phases, closed under negation, all curves
+[ok] trace reconstruction: phases reproduce s_n to 1e-9 q^(n/2), all curves
+[ok] unitarity bound: |s_n| <= 2g q^(n/2), all curves
+[ok] prime-sum bound: |n c_n| <= (2g+2) q^(n/2), all curves
+[ok] power decomposition: prime+square+higher == -s_k, all curves
+[ok] point counts: direct == q^n + 1 - s_n (n <= 3), all curves
+[ok] dual averages: direct == Moebius-decomposed for 10 functionals
+[ok] divisor degrees: max total divisor degree 3 <= 2g+1 (and prime-sum inversion integral)""",
+}
+
+
+@pytest.mark.parametrize("q,g", sorted(VERIFY_LINES))
+def test_verify_lines_pinned(q, g):
+    result = harness.verify_suite(q, g)
+    assert result.ok
+    assert "\n".join(result.lines()) == VERIFY_LINES[q, g]
 
 
 class TestReports:
@@ -191,6 +251,17 @@ class TestReports:
         assert "pi_3(3) = 8" in out
         assert "0,1" in out  # the prime x dumped as its coefficient list
         assert not (tmp_path / "cache").exists()  # tables are built, never stored
+
+    def test_cache_shorter_than_header_rebuilt(self, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        path = cache / "traces_q3_g1_N4.bin"
+        path.write_bytes(b"HFTR\x01\x00")
+        out = str(tmp_path / "reports")
+        assert run_cli(["dump-cache", "--path", str(path), "--out", out]) == 2
+        assert run_cli(["moment", "--q", "3", "--g", "1", "--N", "4",
+                        "--cache-dir", str(cache), "--out", out]) == 0
+        assert cachemod.read_trace_cache(str(path))[:3] == (3, 1, 4)
 
     def test_dump_cache_rejects_other_files(self, tmp_path):
         path = tmp_path / "ptable_q3_d4.bin"

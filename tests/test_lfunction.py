@@ -5,6 +5,7 @@ import random
 import pytest
 
 from hypfrob import lfunction as lf
+from hypfrob.charsym import jacobi_symbol
 from hypfrob import polyfield as pf
 
 
@@ -72,6 +73,23 @@ class TestTraces:
                 curve = data.curve(i)
                 ld = lf.complete_l(curve)
                 assert lf.traces_explicit(curve, N) == lf.traces_from_lpoly(ld, N)
+
+    def test_one_symbol_per_prime(self, monkeypatch):
+        calls = []
+
+        def counting(B, A, q):
+            calls.append(A)
+            return jacobi_symbol(B, A, q)
+
+        monkeypatch.setattr(lf, "jacobi_symbol", counting)
+        curve = lf.Curve.from_coeffs(3, (1, 2, 0, 0, 0, 1))  # x^5 + 2x + 1
+        N = 6
+        s = lf.traces_explicit(curve, N)
+        table = pf.get_prime_table(3, N)
+        assert sorted(calls) == sorted(table.primes_up_to(N))
+        assert len(calls) == sum(pf.irreducible_count(3, d) for d in range(1, N + 1)) == 196
+        monkeypatch.undo()
+        assert s == lf.traces_from_lpoly(lf.complete_l(curve), N)
 
     def test_coefficients_beyond_degree_contribute_nothing(self):
         ld = lf.complete_l(EXAMPLE)

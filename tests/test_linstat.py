@@ -192,8 +192,8 @@ class TestZMoments:
         s = np.array(rows, np.int64)
         assert min(wt * abs(int(s[i, k - 1])) for i in range(len(rows))
                    for k, wt in w.even_terms + w.odd_terms) >= 2 ** 63
-        data = ens.EnsembleData(q=3, g=2, N=4, codes=np.arange(len(rows), dtype=np.int64),
-                                coeffs=np.zeros((len(rows), 6), np.uint8), s=s)
+        data = ens.EnsembleData(q=3, g=2, N=4, coeffs=np.zeros((len(rows), 6), np.uint8),
+                                s=s)
         rep = linstat.z_moments(data, tf, 4)
         assert rep.raw_moments == _raw_moments_per_curve(rows, tf, 4, 3, 4)
 

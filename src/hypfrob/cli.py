@@ -65,13 +65,11 @@ def config_from_args(args):
                 merged[key] = int(raw)
             except ValueError:
                 raise ConfigError(f"config key {key} must be an integer, got {raw!r}")
-        elif key == "degrees":
-            merged[key] = tuple(int(x) for x in raw.split(","))
         elif key == "spec":
             merged["specs"] = [s for s in raw.split("|") if s]
         elif key == "dump":
             merged[key] = raw.lower() in ("1", "true", "yes")
-        elif key in ("tf", "cache_dir", "out_dir", "fmt", "path"):
+        elif key in ("tf", "degrees", "cache_dir", "out_dir", "fmt", "path"):
             merged[key] = raw
         else:
             raise ConfigError(f"unknown config key {key!r}")
@@ -80,7 +78,7 @@ def config_from_args(args):
         "q": args.q, "g": args.g, "g_max": args.g_max, "N": args.N,
         "specs": args.spec, "tf": args.tf, "moments": args.moments,
         "k": args.k, "l": args.l,
-        "degrees": tuple(int(x) for x in args.degrees.split(",")) if args.degrees else None,
+        "degrees": args.degrees,
         "alpha_max": args.alpha_max, "beta_max": args.beta_max,
         "workers": args.workers, "cache_dir": args.cache_dir,
         "out_dir": args.out_dir, "fmt": args.fmt, "budget": args.budget,
@@ -92,8 +90,10 @@ def config_from_args(args):
     merged.setdefault("budget", DEFAULT_BUDGET)
     merged["custom_tf"] = custom_tf
     try:
+        if "degrees" in merged:
+            merged["degrees"] = tuple(int(x) for x in merged["degrees"].split(","))
         return ExperimentConfig(**merged)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
 
 

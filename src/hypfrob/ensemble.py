@@ -31,12 +31,12 @@ from .lfunction import Curve, prime_symbols, symbol_power_sum
 from .polyfield import (
     check_field,
     codes_to_digits,
+    divisor_counts,
     get_prime_table,
     irreducible_count,
     is_squarefree,
     mobius,
     monic_from_code,
-    monic_multiple_codes,
     monic_polys,
     poly_mod,
     poly_mul,
@@ -129,17 +129,13 @@ class MomentSpec:
 def squarefree_codes(q, g, budget=DEFAULT_BUDGET):
     """Codes of all monic squarefree polynomials of degree 2g+1, ascending.
 
-    Sieve: mark every P^2 * B for primes P of degree <= g; the count must
-    equal (q-1) q^{2g} exactly.
+    Sieve: keep the codes that no P^2 divides, P prime of degree <= g; the
+    count must equal (q-1) q^{2g} exactly.
     """
     spec = EnsembleSpec(q, g)
     spec.check_budget(budget)
-    marked = np.zeros(q ** spec.degree, bool)
-    table = get_prime_table(q, g)
-    for e in range(1, g + 1):
-        for prime in table.irreducibles(e):
-            marked[monic_multiple_codes(poly_mul(prime, prime, q), spec.degree, q)] = True
-    codes = np.nonzero(~marked)[0].astype(np.int64)
+    squares = [poly_mul(prime, prime, q) for prime in get_prime_table(q, g).primes_up_to(g)]
+    codes = np.flatnonzero(divisor_counts(squares, spec.degree, q) == 0).astype(np.int64)
     if len(codes) != spec.count:
         raise ArithmeticError(
             f"squarefree sieve count {len(codes)} != {spec.count} at q={q}, g={g}")
@@ -188,24 +184,11 @@ class TraceEngine:
     into the stacked character tables gives chi_Q(P).  Row sums give c_d,
     the sum of chi_Q over the degree-d primes, and z_d, how many divide Q.
     The matmul is exact: its entries are integers of at most (2g+2)(q-1)^2,
-    and construction refuses (q, g) where that reaches 2^24.
+    and construction refuses (q, g) where that reaches 2^24.  It also
+    refuses N past `_check_newton_depth`.
 
-    Newton's identities run in int64, so construction also refuses N where a
-    partial sum could pass 2^63.  With |A_i| <= C(2g,i) q^(i/2) and
-    |s_m| <= 2g q^(m/2), every partial sum of -n A_n - sum_{i<n} A_i s_{n-i}
-    is at most K_n q^(n/2), K_n = n C(2g,n) + 2g sum_{0<i<n} C(2g,i).  That
-    bound grows with n, so n = N is the one to check; at (13, 2) it allows
-    N <= 30.
-
-    That refusal covers the int64 sums of `prime_symbol_sums` too: with
-    |d c_d|, d (pi_d - z_d) <= d pi_d <= q^d, each partial sum for degree n
-    is at most 2g q^(n/2) + sum_{d <= n/2} q^d < (2g + 3/2) q^(n/2), below
-    K_n q^(n/2) since K_1 = 2g (no higher powers at n = 1) and K_n >= 4g^2
-    for n >= 2.
-
-    The explicit formula -s_n = sum_{d | n} d (c_d if n/d is odd, else
-    pi_d - z_d) gives s_n for n <= g; `coefficients_from_traces` and
-    `_newton_matrix` do the rest.
+    The explicit formula -s_n = n c_n + `_prime_power_part` gives s_n for
+    n <= g; `coefficients_from_traces` and `_newton_matrix` do the rest.
     """
 
     def __init__(self, q, g, N):
@@ -215,15 +198,10 @@ class TraceEngine:
             raise ValueError(
                 f"residue products reach (2g+2)(q-1)^2 = {bound} >= 2^24 at q={q}, "
                 f"g={g}; float32 would not hold them exactly")
-        k_n = N * math.comb(2 * g, N) + 2 * g * sum(math.comb(2 * g, i) for i in range(1, N))
-        if k_n ** 2 * q ** N >= 2 ** 126:
-            raise ValueError(
-                f"Newton partial sums for s_{N} may reach {k_n} q^(N/2) >= 2^63 at q={q}, "
-                f"g={g}; lower N")
+        _check_newton_depth(q, g, N)
         self.q, self.g, self.N = q, g, N
         self.residue_dtype = np.int16 if bound < 2 ** 15 else np.int32
         table = get_prime_table(q, max(g, 1))
-        self.pi = [0] + [len(table.irreducibles(d)) for d in range(1, g + 1)]
         # per degree d: stacked reduction matrices and character tables, and
         # the first code of each prime's table
         self.stacks = []
@@ -241,14 +219,6 @@ class TraceEngine:
     def traces(self, coeffs):
         """Scaled traces s_1..s_N for each coefficient row, int64 exact."""
         return _newton_matrix(self.coefficients(coeffs), self.N)
-
-    def divisor_degree_counts(self, coeffs):
-        """z[:, d] = number of distinct degree-d prime divisors, d <= N.
-
-        Prime divisors of degree <= g come from the residue kernel; the
-        cofactor beyond degree g is a single prime because 2(g+1) > 2g+1.
-        """
-        return _map_chunks(self._divisor_rows, coeffs)
 
     def _symbol_sums(self, coeffs):
         """The residue kernel on one chunk: (c, z), each (rows, g+1) int64,
@@ -275,48 +245,79 @@ class TraceEngine:
 
     def _coefficient_rows(self, coeffs):
         c, z = self._symbol_sums(coeffs)
-        s = np.zeros((coeffs.shape[0], self.g), np.int64)
+        s = np.empty((coeffs.shape[0], self.g), np.int64)
         for n in range(1, self.g + 1):
-            for d in range(1, n + 1):
-                if n % d == 0:
-                    s[:, n - 1] -= d * (c[:, d] if (n // d) % 2 else self.pi[d] - z[:, d])
+            s[:, n - 1] = -n * c[:, n] - _prime_power_part(self.q, n, c, z)
         return coefficients_from_traces(s, self.q, self.g)
 
-    def _divisor_rows(self, coeffs):
-        g, N = self.g, self.N
-        low = self._symbol_sums(coeffs)[1]
-        z = np.zeros((coeffs.shape[0], N + 1), np.int16)
-        top = min(g, N)
-        z[:, 1:top + 1] = low[:, 1:top + 1]
-        cof_deg = (2 * g + 1) - (low * np.arange(g + 1)).sum(axis=1)
-        rows = np.nonzero((cof_deg >= 1) & (cof_deg <= N))[0]
-        z[rows, cof_deg[rows]] += 1
-        return z
 
-    def prime_symbol_sums(self, s, z):
-        """c[:, d] = sum of chi over degree-d primes, inverted from the traces.
+def _check_newton_depth(q, g, N):
+    """Refuse N where an int64 Newton partial sum could pass 2^63.
 
-        n c_n = -s_n - sum over prime powers P^e, e >= 2, of the exponent-e
-        slice, which only involves lower degrees; integrality of the division
-        is asserted.  The sums are int64; the class docstring bounds them.
-        """
-        q, N = self.q, self.N
-        n = s.shape[0]
-        c = np.zeros((n, N + 1), np.int64)
-        for nn in range(1, N + 1):
-            acc = -s[:, nn - 1].astype(np.int64)
-            for e in range(2, nn + 1):
-                if nn % e:
-                    continue
-                d = nn // e
-                if e % 2:
-                    acc -= d * c[:, d]
-                else:
-                    acc -= d * (irreducible_count(q, d) - z[:, d].astype(np.int64))
-            if (acc % nn).any():
-                raise ArithmeticError(f"prime-sum inversion not integral at n={nn}")
-            c[:, nn] = acc // nn
-        return c
+    With |A_i| <= C(2g,i) q^(i/2) and |s_m| <= 2g q^(m/2), every partial sum
+    of -n A_n - sum_{i<n} A_i s_{n-i} is at most K_n q^(n/2), with
+    K_n = n C(2g,n) + 2g sum_{0<i<n} C(2g,i).  That bound grows with n, so
+    n = N is the one to check; at (13, 2) it allows N <= 30.
+
+    The refusal covers the int64 sums of `prime_symbol_sums` too: with
+    |d c_d|, d (pi_d - z_d) <= d pi_d <= q^d, each partial sum for degree n
+    is at most 2g q^(n/2) + sum_{d <= n/2} q^d < (2g + 3/2) q^(n/2), below
+    K_n q^(n/2) since K_1 = 2g (no higher powers at n = 1) and K_n >= 4g^2
+    for n >= 2.
+    """
+    k_n = N * math.comb(2 * g, N) + 2 * g * sum(math.comb(2 * g, i) for i in range(1, N))
+    if k_n ** 2 * q ** N >= 2 ** 126:
+        raise ValueError(
+            f"Newton partial sums for s_{N} may reach {k_n} q^(N/2) >= 2^63 at q={q}, "
+            f"g={g}; lower N")
+
+
+def _prime_power_part(q, n, c, z):
+    """Per row, sum over d | n, d < n, of d (c_d if n/d is odd, else pi_d - z_d):
+    the prime powers' part of -s_n = n c_n + part, as chi(P)^e is chi(P)
+    for odd e and 1 - [P | Q] for even e.  c and z are int64."""
+    part = np.zeros(len(c), np.int64)
+    for d in range(1, n // 2 + 1):
+        if n % d == 0:
+            part += d * (c[:, d] if (n // d) % 2 else irreducible_count(q, d) - z[:, d])
+    return part
+
+
+def prime_symbol_sums(q, g, s, z):
+    """c[:, n] = sum of chi over the degree-n primes, n <= N, from the traces
+    s_1..s_N and the divisor counts z: n c_n = -s_n - `_prime_power_part`,
+    with integrality asserted.  `_check_newton_depth` bounds its int64 sums.
+    """
+    N = s.shape[1]
+    _check_newton_depth(q, g, N)
+    z = z.astype(np.int64)
+    c = np.zeros((s.shape[0], N + 1), np.int64)
+    for n in range(1, N + 1):
+        acc = -s[:, n - 1] - _prime_power_part(q, n, c, z)
+        if (acc % n).any():
+            raise ArithmeticError(f"prime-sum inversion not integral at n={n}")
+        c[:, n] = acc // n
+    return c
+
+
+def divisor_degree_counts(q, g, N, coeffs):
+    """z[:, d] = number of distinct degree-d prime divisors of each row's Q,
+    d <= N.  Degrees <= g are read at the row's code from the product sieve;
+    the cofactor beyond degree g is one prime, as 2(g+1) > 2g+1, of the
+    degree those leave."""
+    D = 2 * g + 1
+    codes = coeffs[:, :D] @ q ** np.arange(D, dtype=np.int64)
+    table = get_prime_table(q, g)
+    z = np.zeros((len(coeffs), N + 1), np.int16)
+    cof_deg = np.full(len(coeffs), D, np.int64)
+    for d in range(1, g + 1):
+        count = divisor_counts(table.irreducibles(d), D, q)[codes]
+        cof_deg -= d * count.astype(np.int64)
+        if d <= N:
+            z[:, d] = count
+    rows = np.flatnonzero((cof_deg >= 1) & (cof_deg <= N))
+    z[rows, cof_deg[rows]] += 1
+    return z
 
 
 def _reduction_matrix(prime, n_rows, q):
@@ -672,8 +673,6 @@ class TermDecomposition:
     q: int
     k: int
     prime_symbol_sum: int     # sum of chi over degree-k primes
-    square_symbol_sum: int    # sum of chi^2 over degree-(k/2) primes (even k)
-    higher_sums: tuple        # ((e, d, symbol-power sum), ...) for e >= 3
     prime_part: int
     square_part: int
     higher_part: int
@@ -688,17 +687,13 @@ def term_decomposition(curve, k, table=None, symbols=None):
     if symbols is None:
         symbols = prime_symbols(curve.Q, curve.q, k, table)
     prime_sum = sum(symbols[k])
-    square_sum = symbol_power_sum(symbols, k // 2, 2) if k % 2 == 0 else 0
-    higher = tuple((e, k // e, symbol_power_sum(symbols, k // e, e))
-                   for e in range(3, k + 1) if k % e == 0)
     return TermDecomposition(
         q=curve.q, k=k,
         prime_symbol_sum=prime_sum,
-        square_symbol_sum=square_sum,
-        higher_sums=higher,
         prime_part=k * prime_sum,
-        square_part=(k // 2) * square_sum,
-        higher_part=sum(d * val for _e, d, val in higher))
+        square_part=(k // 2) * symbol_power_sum(symbols, k // 2, 2) if k % 2 == 0 else 0,
+        higher_part=sum((k // e) * symbol_power_sum(symbols, k // e, e)
+                        for e in range(3, k + 1) if k % e == 0))
 
 
 def omega_count(pi_k, z_k, l):
@@ -732,9 +727,8 @@ class DecompositionData:
 
     @classmethod
     def build(cls, data):
-        engine = TraceEngine(data.q, data.g, data.N)
-        z = engine.divisor_degree_counts(data.coeffs)
-        c = engine.prime_symbol_sums(data.s, z)
+        z = divisor_degree_counts(data.q, data.g, data.N, data.coeffs)
+        c = prime_symbol_sums(data.q, data.g, data.s, z)
         return cls(data=data, z=z, c=c)
 
 
@@ -758,6 +752,8 @@ def prime_term_moment(decomp, k, l):
     q, n = data.q, data.count
     if k > data.N:
         raise ValueError("k beyond available traces")
+    if l < 0:
+        raise ValueError(f"l must be >= 0, got {l}")
     values, counts = distinct_rows(decomp.c[:, [k]])
     z_k = decomp.z[:, k].astype(np.int64)
     pi_k = irreducible_count(q, k)

@@ -103,7 +103,7 @@ def load_config_file(path):
 
 # -- cached ensemble data ---------------------------------------------------------
 
-def load_or_compute_data(q, g, N, cache_dir=None, budget=ens.DEFAULT_BUDGET, write=True):
+def load_or_compute_data(q, g, N, cache_dir=None, budget=ens.DEFAULT_BUDGET):
     """Trace data from a warm cache when possible, else computed and cached.
 
     Returns (EnsembleData, from_cache).  Cached files holding deeper traces
@@ -121,7 +121,7 @@ def load_or_compute_data(q, g, N, cache_dir=None, budget=ens.DEFAULT_BUDGET, wri
         except cachemod.CacheFormatError:
             pass  # stale or foreign file: rebuild below
     data = ens.compute_ensemble_data(q, g, N, budget=budget)
-    if write and cache_dir:
+    if cache_dir:
         cachemod.write_trace_cache(cachemod.trace_cache_path(cache_dir, q, g, N), data)
     return data, False
 
@@ -377,16 +377,14 @@ def decompose_report_rows(decomp, ks, l=1):
     return rows
 
 
-def write_report(path, rows, fmt, timestamp=True):
+def write_report(path, rows, fmt):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     if fmt == "json":
         payload = json.dumps(rows, indent=2, sort_keys=True, default=str) + "\n"
         with open(path, "w") as fh:
             fh.write(payload)
         return
-    lines = []
-    if timestamp:
-        lines.append(f"# generated: {datetime.now(timezone.utc).isoformat()}")
+    lines = [f"# generated: {datetime.now(timezone.utc).isoformat()}"]
     if rows:
         keys = list(rows[0].keys())
         lines.append(",".join(keys))

@@ -239,6 +239,15 @@ def monic_multiple_codes(f, D, p):
     return rows @ p ** np.arange(D, dtype=np.int64)
 
 
+def divisor_counts(fs, D, p):
+    """How many of the monic polynomials `fs` divide each monic polynomial
+    of degree D: a uint8 array indexed by code, from the product sieve."""
+    counts = np.zeros(p ** D, np.uint8)
+    for f in fs:
+        counts[monic_multiple_codes(f, D, p)] += 1
+    return counts
+
+
 # -- factorization -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -300,11 +309,8 @@ class PrimeTable:
         check_field(q)
         by_degree = {}
         for d in range(1, max_degree + 1):
-            reducible = np.zeros(q ** d, bool)
-            for e in range(1, d // 2 + 1):
-                for prime in by_degree[e]:
-                    reducible[monic_multiple_codes(prime, d, q)] = True
-            codes = np.flatnonzero(~reducible)
+            small = [prime for e in range(1, d // 2 + 1) for prime in by_degree[e]]
+            codes = np.flatnonzero(divisor_counts(small, d, q) == 0)
             if len(codes) != irreducible_count(q, d):
                 raise ArithmeticError(
                     f"irreducible sieve mismatch at q={q}, degree {d}: "

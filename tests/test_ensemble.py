@@ -96,10 +96,9 @@ class TestEngine:
                                                             data_q5g3):
         for data, stride in ((data_g2, 1), (data_q5g1, 1), (data_q5g3, 997)):
             q, g = data.q, data.g
-            engine = ens.TraceEngine(q, g, data.N)
-            c, z = engine._symbol_sums(data.coeffs)
-            z_all = engine.divisor_degree_counts(data.coeffs)
-            c_all = engine.prime_symbol_sums(data.s, z_all)
+            c, z = ens.TraceEngine(q, g, data.N)._symbol_sums(data.coeffs)
+            z_all = ens.divisor_degree_counts(q, g, data.N, data.coeffs)
+            c_all = ens.prime_symbol_sums(q, g, data.s, z_all)
             assert np.array_equal(c[:, 1:], c_all[:, 1:g + 1])
             assert np.array_equal(z[:, 1:], z_all[:, 1:g + 1])
             for i in range(0, data.count, stride):
@@ -143,10 +142,9 @@ class TestEngine:
         # the int64 inversion sums against the same recursion in Python ints
         q, g, N = 13, 2, 30
         coeffs = ens.curve_coeff_matrix(q, g, ens.squarefree_codes(q, g))[::1709]
-        engine = ens.TraceEngine(q, g, N)
-        s = engine.traces(coeffs)
-        z = engine.divisor_degree_counts(coeffs)
-        c = engine.prime_symbol_sums(s, z)
+        s = ens.TraceEngine(q, g, N).traces(coeffs)
+        z = ens.divisor_degree_counts(q, g, N, coeffs)
+        c = ens.prime_symbol_sums(q, g, s, z)
         for i in range(len(coeffs)):
             exact = [0] * (N + 1)
             for n in range(1, N + 1):
@@ -160,8 +158,7 @@ class TestEngine:
             assert [int(v) for v in c[i]] == exact
 
     def test_divisor_counts_match_factorization(self, data_g2):
-        engine = ens.TraceEngine(3, 2, 8)
-        z = engine.divisor_degree_counts(data_g2.coeffs)
+        z = ens.divisor_degree_counts(3, 2, 8, data_g2.coeffs)
         for i in range(data_g2.count):
             fact = pf.factorize(data_g2.curve(i).Q, 3)
             expect = [0] * 9
@@ -172,15 +169,50 @@ class TestEngine:
             assert list(z[i]) == expect
 
     def test_prime_symbol_sums_match_direct(self, data_g2):
-        engine = ens.TraceEngine(3, 2, 8)
-        z = engine.divisor_degree_counts(data_g2.coeffs)
-        c = engine.prime_symbol_sums(data_g2.s, z)
+        z = ens.divisor_degree_counts(3, 2, 8, data_g2.coeffs)
+        c = ens.prime_symbol_sums(3, 2, data_g2.s, z)
         table = pf.get_prime_table(3, 8)
         for i in range(0, data_g2.count, 13):
             Q = data_g2.curve(i).Q
             for d in range(1, 9):
                 direct = sum(jacobi_symbol(Q, prime, 3) for prime in table.irreducibles(d))
                 assert int(c[i, d]) == direct
+
+    @pytest.mark.parametrize("q,stride", [(7, 37), (11, 401), (13, 1201)])
+    def test_sieve_divisor_counts_beyond_small_q(self, q, stride):
+        # the sieve against factorization on a stride, and against the
+        # kernel's zero counts of chi_Q on every row
+        g, N = 2, 6
+        coeffs = ens.curve_coeff_matrix(q, g, ens.squarefree_codes(q, g))
+        z = ens.divisor_degree_counts(q, g, N, coeffs)
+        engine = ens.TraceEngine(q, g, N)
+        kernel_z = ens._map_chunks(lambda rows: engine._symbol_sums(rows)[1], coeffs)
+        assert np.array_equal(z[:, 1:g + 1], kernel_z[:, 1:])
+        for i in range(0, len(coeffs), stride):
+            fact = pf.factorize(tuple(int(v) for v in coeffs[i]), q)
+            degrees = [pf.degree(prime) for prime, _m in fact.factors]
+            assert [int(v) for v in z[i]] == [0] + [degrees.count(d) for d in range(1, N + 1)]
+
+    def test_divisor_counts_below_genus_depth(self, data_q5g3):
+        # N < g: the same columns as at full depth
+        z = ens.divisor_degree_counts(5, 3, 2, data_q5g3.coeffs)
+        assert np.array_equal(z, ens.divisor_degree_counts(5, 3, 8, data_q5g3.coeffs)[:, :3])
+
+    def test_decomposition_runs_no_engine(self, data_g2, monkeypatch):
+        c, z = ens.TraceEngine(3, 2, 8)._symbol_sums(data_g2.coeffs)
+
+        def no_engine(*_args):
+            raise AssertionError("DecompositionData.build constructed a TraceEngine")
+
+        monkeypatch.setattr(ens, "TraceEngine", no_engine)
+        decomp = ens.DecompositionData.build(data_g2)
+        assert np.array_equal(decomp.c[:, 1:3], c[:, 1:])
+        assert np.array_equal(decomp.z[:, 1:3], z[:, 1:])
+
+    def test_prime_symbol_sums_refuse_past_the_newton_depth(self):
+        with pytest.raises(ValueError, match="2\\^63"):
+            ens.prime_symbol_sums(13, 2, np.zeros((1, 31), np.int64),
+                                  np.zeros((1, 32), np.int16))
 
 
 class TestAverages:

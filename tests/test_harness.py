@@ -87,6 +87,20 @@ class TestExitCodes:
         code = run_cli(["moment", "--q", "3", "--g", "1", "--spec", "(2,1);(2,2)"])
         assert code == 2
 
+    def test_bad_degrees_are_config_errors(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("degrees = 1,x\n")
+        for args in (["sigma", "--q", "3", "--degrees", "a,b"],
+                     ["sigma", "--q", "3", "--config", str(cfg)]):
+            assert run_cli(args + ["--out", str(tmp_path)]) == 2
+            assert "config error: invalid literal for int()" in capsys.readouterr().err
+
+    def test_negative_l_is_a_config_error(self, tmp_path, capsys):
+        code = run_cli(["decompose", "--q", "3", "--g", "1", "--l", "-1",
+                        "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path)])
+        assert code == 2
+        assert "l must be >= 0" in capsys.readouterr().err
+
     def test_newton_depth_beyond_int64_refused(self, tmp_path, capsys):
         code = run_cli(["moment", "--q", "13", "--g", "2", "--N", "31", "--spec", "(31,1)",
                         "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path)])

@@ -3,11 +3,15 @@
 Two independent evaluation routes are provided: a definitional modular
 exponentiation for prime moduli (`residue_symbol_def`) and a
 factorization-free Euclidean reduction using quadratic reciprocity
-(`jacobi_symbol`).  The character chi(D, .) places D in the numerator
-slot: chi_D(f) = (D / f).
+(`jacobi_symbol`).  `jacobi_symbols` runs the same reduction on many pairs
+at once in numpy; the scalar `jacobi_symbol` is its test oracle.  The
+character chi(D, .) places D in the numerator slot: chi_D(f) = (D / f).
 """
 
+import math
 from functools import lru_cache
+
+import numpy as np
 
 from .polyfield import (
     ONE,
@@ -87,6 +91,100 @@ def jacobi_symbol(B, A, q):
         if swap_signs and degree(A) % 2 == 1 and degree(B) % 2 == 1:
             sign = -sign
         A, B = B, A
+
+
+CHUNK_PAIRS = 2 ** 12  # pairs per lockstep pass; fixed, so no result depends on it
+
+
+@lru_cache(maxsize=None)
+def _unit_tables(q):
+    """(legendre symbol, inverse) of every residue mod q, as arrays; 0 maps to 0."""
+    return (np.array(legendre_table(q), np.int8),
+            np.array([0] + [pow(c, q - 2, q) for c in range(1, q)]))
+
+
+def _degrees(rows):
+    """Degree of each coefficient row (low degree first); -1 for a zero row."""
+    nonzero = rows != 0
+    top = rows.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    return np.where(nonzero.any(axis=1), top, -1)
+
+
+def _top_aligned(rows, degrees):
+    """Each row shifted up so that its degree-d coefficient sits in the last column."""
+    width = rows.shape[1]
+    src = np.arange(width) - (width - 1 - degrees)[:, None]
+    return np.where(src >= 0, np.take_along_axis(rows, np.maximum(src, 0), axis=1), 0)
+
+
+def jacobi_symbols(B, A, q):
+    """Jacobi symbols (B_i / A_i) as int8, by the algorithm of `jacobi_symbol`
+    run on many pairs in numpy lockstep.
+
+    B and A hold integer coefficients, low degree first, along their last
+    axis; every A row must be monic (zero columns above its degree are
+    allowed).  The leading axes broadcast like a ufunc's, so
+    `jacobi_symbols(Qs[:, None], Ps[None], q)` is the (moduli x primes) grid
+    without materializing the pairs.  Pairs go through in fixed chunks of
+    CHUNK_PAIRS.
+    """
+    check_field(q)
+    B, A = np.asarray(B), np.asarray(A)
+    shape = np.broadcast_shapes(B.shape[:-1], A.shape[:-1])
+    lead = shape or (1,)
+    B = np.broadcast_to(B, lead + B.shape[-1:])
+    A = np.broadcast_to(A, lead + A.shape[-1:])
+    out = np.empty(math.prod(lead), np.int8)
+    for lo in range(0, len(out), CHUNK_PAIRS):
+        idx = np.unravel_index(np.arange(lo, min(lo + CHUNK_PAIRS, len(out))), lead)
+        out[lo:lo + CHUNK_PAIRS] = _jacobi_chunk(B[idx], A[idx], q)
+    return out.reshape(shape)
+
+
+def _jacobi_chunk(B, A, q):
+    """`jacobi_symbols` on paired (n, kB) and (n, kA) rows.
+
+    The remainder of b by a is taken top down: the coefficient of x^k in b
+    is cancelled against a's leading term, with a kept top-aligned so that
+    every row uses the same column slices.  Rows whose a has degree above k
+    skip the step.  A pair leaves the working set when its symbol is known.
+    """
+    dtype = np.min_scalar_type(-(q - 1) ** 2)  # holds b - lead * a before reduction
+    legendre_of, inverse_of = _unit_tables(q)
+    swap_signs = (q - 1) // 2 % 2 == 1
+    a = (A % q).astype(dtype)
+    n, width = a.shape
+    da = _degrees(a)
+    if (a[np.arange(n), da] != 1).any():
+        raise ValueError("Jacobi symbol denominator must be monic")
+    b = np.zeros((n, max(B.shape[1], width)), dtype)
+    b[:, :B.shape[1]] = B % q
+    out = np.ones(n, np.int8)  # a constant denominator gives 1, whatever B is
+    rows = np.flatnonzero(da > 0)
+    a, b, da = a[rows], b[rows], da[rows]
+    sign = np.ones(len(rows), np.int8)
+    top = b.shape[1] - 1  # b's degree is at most this
+    while len(rows):
+        a_top = _top_aligned(a, da)
+        for k in range(top, da.min() - 1, -1):
+            lead = np.where(da <= k, b[:, k], 0)
+            lo = max(0, k - width + 1)
+            b[:, lo:k + 1] -= lead[:, None] * a_top[:, width - (k + 1 - lo):]
+            b[:, lo:k + 1] %= q
+        r = b[:, :width]
+        dr = _degrees(r)
+        unit = r[np.arange(len(r)), dr]  # 0 for a zero remainder
+        odd = da % 2 == 1
+        sign[odd & (legendre_of[unit] == -1)] *= -1
+        out[rows[dr < 0]] = 0
+        out[rows[dr == 0]] = sign[dr == 0]
+        sign[odd & (dr % 2 == 1) & swap_signs] *= -1
+        more = dr > 0
+        top = da[more].max(initial=0)
+        b = a[more]
+        a = (r[more] * inverse_of[unit[more], None] % q).astype(dtype)
+        da, sign, rows = dr[more], sign[more], rows[more]
+    return out
 
 
 def poly_sqrt(f, q):

@@ -38,6 +38,7 @@ from .polyfield import (
     mobius,
     monic_from_code,
     monic_polys,
+    monic_rows,
     poly_mod,
     poly_mul,
 )
@@ -117,9 +118,6 @@ class MomentSpec:
     def max_k(self):
         return max(k for k, _ in self.terms)
 
-    def etas(self):
-        return tuple(1 if k % 2 == 0 else 0 for k, _ in self.terms)
-
     def label(self):
         return ";".join(f"({k},{a})" for k, a in self.terms)
 
@@ -140,13 +138,6 @@ def squarefree_codes(q, g, budget=DEFAULT_BUDGET):
         raise ArithmeticError(
             f"squarefree sieve count {len(codes)} != {spec.count} at q={q}, g={g}")
     return codes
-
-
-def curve_coeff_matrix(q, g, codes):
-    mat = np.empty((len(codes), 2 * g + 2), np.uint8)
-    mat[:, : 2 * g + 1] = codes_to_digits(codes, 2 * g + 1, q)
-    mat[:, 2 * g + 1] = 1
-    return mat
 
 
 def curve_from_code(spec, code):
@@ -423,7 +414,7 @@ def compute_ensemble_data(q, g, N, *, budget=DEFAULT_BUDGET):
     The chunks run in the calling thread: a thread pool lost to one thread
     at every measured point, as BLAS already threads the matmul.
     """
-    coeffs = curve_coeff_matrix(q, g, squarefree_codes(q, g, budget))
+    coeffs = monic_rows(squarefree_codes(q, g, budget), 2 * g + 1, q)
     s = TraceEngine(q, g, N).traces(coeffs)
     return EnsembleData(q=q, g=g, N=N, coeffs=coeffs, s=s)
 
@@ -670,8 +661,6 @@ class TermDecomposition:
     Each part is an integer in units of q^(-k/2):
     prime_part + square_part + higher_part == -s_k exactly.
     """
-    q: int
-    k: int
     prime_symbol_sum: int     # sum of chi over degree-k primes
     prime_part: int
     square_part: int
@@ -688,7 +677,6 @@ def term_decomposition(curve, k, table=None, symbols=None):
         symbols = prime_symbols(curve.Q, curve.q, k, table)
     prime_sum = sum(symbols[k])
     return TermDecomposition(
-        q=curve.q, k=k,
         prime_symbol_sum=prime_sum,
         prime_part=k * prime_sum,
         square_part=(k // 2) * symbol_power_sum(symbols, k // 2, 2) if k % 2 == 0 else 0,

@@ -7,7 +7,6 @@ Exit status contract: 0 ok, 1 hard invariant failure, 2 configuration
 error, 3 enumeration budget refusal.
 """
 
-import functools
 import json
 import math
 import os
@@ -30,13 +29,22 @@ from .lfunction import (
     explicit_sum,
     point_count_direct,
     prime_symbols,
+    symbol_row,
     traces_explicit,
     traces_from_eigenphases,
     traces_from_lpoly,
 )
-from .polyfield import get_prime_table, poly
+from .polyfield import get_prime_table, monic_code, monic_rows, poly
 
 CACHE_ENV = "HYPFROB_CACHE_DIR"
+PAIRS_PER_PASS = 2 ** 20  # (modulus, prime) pairs per batched symbol pass: ~1 MB of int8
+
+
+def _passes(count, primes):
+    """Consecutive slices of `count` moduli, each one batched symbol pass
+    against `primes` primes: as few as keep each pass within PAIRS_PER_PASS."""
+    step = max(1, PAIRS_PER_PASS // primes)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
 class ConfigError(ValueError):
@@ -156,20 +164,25 @@ def _reflect_phase(t):
     return r
 
 
-def _battery(q):
+def _battery(q, g):
     """Per-modulus functionals, total on all monic arguments, for the
-    dual-average identity check.  All ten read one memo, local to this
-    call, of each modulus M's (M/x), (M/(x+1)) and explicit sums t_1..t_3,
-    taken from one `prime_symbols` pass through degree 3."""
+    dual-average identity check at genus g.  All ten read one memo, local to
+    this call, of each monic modulus M of degree 2g+1: (M/x), (M/(x+1)) and
+    the explicit sums t_1..t_3, from batched `prime_symbols` passes through
+    degree 3 over every such M in code order."""
     table = get_prime_table(q, 3)
     linear = table.irreducibles(1)
     at_x, at_x1 = linear.index(poly((0, 1), q)), linear.index(poly((1, 1), q))
+    degree = 2 * g + 1
+    memo = []
+    codes = range(q ** degree)
+    for part in _passes(len(codes), sum(table.counts[d] for d in (1, 2, 3))):
+        symbols = prime_symbols(monic_rows(np.array(codes[part]), degree, q), q, 3, table)
+        memo += zip(symbols[1][:, at_x].tolist(), symbols[1][:, at_x1].tolist(),
+                    *(explicit_sum(symbols, n).tolist() for n in (1, 2, 3)))
 
-    @functools.cache
     def values(M):  # (chi(x), chi(x+1), t1, t2, t3)
-        symbols = prime_symbols(M, q, 3, table)
-        return (symbols[1][at_x], symbols[1][at_x1],
-                *(explicit_sum(symbols, n) for n in (1, 2, 3)))
+        return memo[monic_code(M, q)]
 
     # each functional is the product of the listed entries of values(M)
     factors = (("one", ()), ("chi(x)", (0,)), ("chi(x+1)", (1,)), ("chi(x)^2", (0, 0)),
@@ -198,22 +211,23 @@ class _Tally:
                                   f"failed, first {self.failures[0]}")
 
 
-def _curve_checks(curve, row, N, explicit_N, point_N, strategy, table):
+def _curve_checks(curve, row, A, symbols, N, explicit_N, point_N):
     """The per-curve checks on one curve, as (check name, ok, failure detail).
 
-    One `prime_symbols` pass feeds the explicit traces, the prime-sum bound
-    and the power decomposition.  A curve whose L-data or eigenphases cannot
-    be formed fails that check and skips the checks that need them."""
+    `A` and `symbols` are the curve's rows of the batched Dirichlet and
+    prime-symbol passes of `verify_suite`; the symbols feed the explicit
+    traces, the prime-sum bound and the power decomposition.  A curve whose
+    L-data or eigenphases cannot be formed fails that check and skips the
+    checks that need them."""
     q, g = curve.q, curve.g
     try:
-        ld = complete_l(curve, dirichlet_coefficients(curve, strategy=strategy))
+        ld = complete_l(curve, A)
     except FunctionalEquationError as exc:
         yield "functional equation", False, str(exc)
         return
     yield "functional equation", ld.Astar[2 * g] == q ** g, "leading coefficient != q^g"
     s = traces_from_lpoly(ld, N)
     yield "engine agreement", list(row) == s, "engine trace mismatch"
-    symbols = prime_symbols(curve.Q, q, explicit_N, table)
     yield ("dual trace paths", traces_explicit(curve, explicit_N, symbols=symbols)
            == s[:explicit_N], "explicit vs Newton mismatch")
     try:
@@ -287,15 +301,21 @@ def verify_suite(q, g, cache_dir=None, budget=ens.DEFAULT_BUDGET, exhaustive=Non
         ("point counts", f"direct == q^n + 1 - s_n (n <= {point_N})"))}
     strategy = "enumerate" if exhaustive else "funceq"
     table = get_prime_table(q, explicit_N)
-    for i in range(0, data.count, stride):
-        for name, ok, detail in _curve_checks(data.curve(i), data.s[i], N, explicit_N,
-                                              point_N, strategy, table):
-            tallies[name].record(f"curve {i}", ok, detail)
+    sample = range(0, data.count, stride)
+    for part in _passes(len(sample), sum(table.counts[d] for d in range(1, explicit_N + 1))):
+        moduli = data.coeffs[sample[part]]
+        A = dirichlet_coefficients(moduli, q, strategy=strategy)
+        symbols = prime_symbols(moduli, q, explicit_N, table)
+        for j, i in enumerate(sample[part]):
+            for name, ok, detail in _curve_checks(data.curve(i), data.s[i], A[j].tolist(),
+                                                  symbol_row(symbols, j), N, explicit_N,
+                                                  point_N):
+                tallies[name].record(f"curve {i}", ok, detail)
     checks.extend(tally.entry() for tally in tallies.values())
 
     if g <= 3:
         averages = _Tally("dual averages", "direct == Moebius-decomposed for 10 functionals")
-        for name, func in _battery(q):
+        for name, func in _battery(q, g):
             direct = ens.ensemble_average(spec, lambda c: func(c.Q), budget=budget)
             decomposed = ens.moebius_decomposed_average(spec, func, budget=budget)
             averages.record(name, direct == decomposed, f"{direct} != {decomposed}")

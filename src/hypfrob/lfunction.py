@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polyfield as pf
-from .charsym import jacobi_symbol
-from .polyfield import degree, get_prime_table, is_monic, is_squarefree, monic_polys
+from .charsym import jacobi_symbols
+from .polyfield import degree, get_prime_table, is_monic, is_squarefree
 
 ROOT_MAGNITUDE_TOL = 1e-9
 
@@ -68,32 +68,47 @@ class LData:
     Astar: tuple      # beta = 0 .. 2g
 
 
-def dirichlet_coefficients(curve, strategy="funceq"):
-    """A(beta) = sum of chi_Q over monic B of degree beta, beta = 0..2g,
-    exact integers (they vanish beyond 2g).
+def _as_stack(D):
+    """Moduli as a 2-D array of coefficient rows, and whether D was one modulus."""
+    single = np.ndim(D) == 1
+    return (np.array(D, np.int64, ndmin=2) if single else np.asarray(D)), single
+
+
+def dirichlet_coefficients(Q, q, strategy="funceq"):
+    """A(beta) = sum of chi_Q over monic B of degree beta, beta = 0..2g, for
+    Q monic of degree 2g+1; exact integers (they vanish beyond 2g).
+
+    `Q` is one modulus, a coefficient tuple, giving a list of ints, or a
+    stack of moduli of one degree, a 2-D array of coefficient rows (low
+    degree first), giving an (m, 2g+1) int64 array.  Each degree beta is
+    one `jacobi_symbols` pass over the moduli and the monic B.
 
     strategy 'funceq' enumerates beta <= g and completes the upper half by
     the coefficient symmetry; 'enumerate' sums every degree directly (test
     oracle).
     """
-    q, g, Q = curve.q, curve.g, curve.Q
     if strategy not in ("funceq", "enumerate"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    stack, single = _as_stack(Q)
+    if stack.shape[1] % 2 or stack.shape[1] < 4:
+        raise ValueError("moduli must have odd degree 2g+1 >= 3")
+    g = (stack.shape[1] - 2) // 2
     cut = 2 * g if strategy == "enumerate" else g
-    coeffs = [0] * (2 * g + 1)
-    coeffs[0] = 1
+    coeffs = np.zeros((len(stack), 2 * g + 1), np.int64)
+    coeffs[:, 0] = 1
     for beta in range(1, cut + 1):
-        coeffs[beta] = sum(jacobi_symbol(Q, B, q) for B in monic_polys(beta, q))
+        monics = pf.monic_rows(np.arange(q ** beta), beta, q)
+        coeffs[:, beta] = jacobi_symbols(stack[:, None], monics[None], q).sum(axis=1)
     for beta in range(cut + 1, 2 * g + 1):
-        coeffs[beta] = q ** (beta - g) * coeffs[2 * g - beta]
-    return coeffs
+        coeffs[:, beta] = q ** (beta - g) * coeffs[:, 2 * g - beta]
+    return coeffs[0].tolist() if single else coeffs
 
 
 def complete_l(curve, A=None):
     """Complete the L-polynomial; the symmetry residual must vanish exactly."""
     q, g = curve.q, curve.g
     if A is None:
-        A = dirichlet_coefficients(curve)
+        A = dirichlet_coefficients(curve.Q, q)
     A = tuple(A)
     if len(A) != 2 * g + 1:
         raise ValueError("need coefficients for beta = 0 .. 2g")
@@ -132,19 +147,37 @@ def traces_from_lpoly(ldata, N):
 
 
 def prime_symbols(D, q, n, table=None):
-    """(D/P) for every prime P of degree <= n, one `jacobi_symbol` call each:
-    entry d holds the degree-d primes' symbols in table order, entry 0 is
-    empty.  The character sums over prime powers below reduce this pass."""
+    """(D/P) for every prime P of degree <= n: entry d holds the degree-d
+    primes' symbols in table order, entry 0 is empty.  The character sums
+    over prime powers below reduce this pass.
+
+    `D` is one modulus, a coefficient tuple, whose entries are tuples of
+    ints, or a stack of moduli, a 2-D array of coefficient rows (low degree
+    first), whose entries are (m, pi_d) int8 arrays.  Each degree is one
+    `jacobi_symbols` pass over the moduli and the primes.
+    """
     if table is None:
         table = get_prime_table(q, n)
-    return [()] + [tuple(jacobi_symbol(D, prime, q) for prime in table.irreducibles(d))
-                   for d in range(1, n + 1)]
+    stack, single = _as_stack(D)
+    symbols = [np.zeros((len(stack), 0), np.int8)] + [
+        jacobi_symbols(stack[:, None], np.array(table.irreducibles(d))[None], q)
+        for d in range(1, n + 1)]
+    return symbol_row(symbols, 0) if single else symbols
+
+
+def symbol_row(symbols, i):
+    """Modulus i's entries of a stacked `prime_symbols` pass, as tuples of ints."""
+    return [tuple(entry[i].tolist()) for entry in symbols]
 
 
 def symbol_power_sum(symbols, d, e):
     """Sum of (D/P)^e over the degree-d primes: the symbol sum for odd e,
-    the count of primes not dividing D for even e."""
-    return sum(symbols[d]) if e % 2 else sum(s * s for s in symbols[d])
+    the count of primes not dividing D for even e.  For a stacked pass it
+    is an int64 array over the moduli."""
+    s = symbols[d]
+    if isinstance(s, np.ndarray):
+        return (s if e % 2 else s * s).sum(axis=-1, dtype=np.int64)
+    return sum(s) if e % 2 else sum(x * x for x in s)
 
 
 def explicit_sum(symbols, n):
@@ -277,7 +310,7 @@ def traces_from_eigenphases(theta, q, N):
 
 def point_count_direct(curve, n):
     """Points over F_{q^n}: affine solutions of y^2 = Q(x) plus one at infinity."""
-    ext = pf.ExtField(curve.q, n)
+    ext = pf.ext_field(curve.q, n)
     total = 1
     for x in ext.elements():
         total += 1 + ext.quad_character(ext.evaluate_poly(curve.Q, x))

@@ -16,6 +16,7 @@ choice of extension moduli all follow this order.
 """
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -216,6 +217,14 @@ def codes_to_digits(codes, length, p):
     return out
 
 
+def monic_rows(codes, d, p):
+    """(n, d+1) coefficient rows, lowest first, of the monic polynomials of
+    degree d with the given codes."""
+    rows = np.ones((len(codes), d + 1), np.min_scalar_type(p - 1))
+    rows[:, :d] = codes_to_digits(codes, d, p)
+    return rows
+
+
 def monic_multiple_codes(f, D, p):
     """Codes of the monic multiples f*B of degree D, ascending in the code of B.
 
@@ -315,9 +324,7 @@ class PrimeTable:
                 raise ArithmeticError(
                     f"irreducible sieve mismatch at q={q}, degree {d}: "
                     f"{len(codes)} found, {irreducible_count(q, d)} expected")
-            rows = np.ones((len(codes), d + 1), np.int64)
-            rows[:, :d] = codes_to_digits(codes, d, q)
-            by_degree[d] = tuple(map(tuple, rows.tolist()))
+            by_degree[d] = tuple(map(tuple, monic_rows(codes, d, q).tolist()))
         return cls(q, max_degree, by_degree)
 
     def irreducibles(self, n):
@@ -475,13 +482,24 @@ class ExtField:
             acc = poly_add(self.mul(acc, x), self.embed(c), self.p)
         return acc
 
+    @cached_property
+    def _squares(self):
+        """The nonzero squares, from squaring every nonzero element once."""
+        squares = frozenset(self.mul(x, x) for x in self.elements() if x)
+        if len(squares) != (self.size - 1) // 2:
+            raise ArithmeticError("nonzero squares are not half the units; bad modulus?")
+        return squares
+
     def quad_character(self, a):
-        """Quadratic character of the extension field: a^((p^n - 1)/2) as +-1, 0 at 0."""
+        """Quadratic character of the extension field: +-1, 0 at 0, read
+        from the table of squares."""
         if not a:
             return 0
-        r = self.pow(a, (self.size - 1) // 2)
-        if r == ONE:
-            return 1
-        if r == constant(-1, self.p):
-            return -1
-        raise ArithmeticError("quadratic character did not land in {+-1}; bad modulus?")
+        return 1 if a in self._squares else -1
+
+
+@lru_cache(maxsize=None)
+def ext_field(p, n):
+    """Per-process memo of F_{p^n} over its canonical modulus, so that its
+    table of squares is built once."""
+    return ExtField(p, n)

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from hypfrob import ensemble as ens
+
+# one profile for every property test: the same examples on every run
+settings.register_profile("hypfrob", derandomize=True, deadline=None, max_examples=200)
+settings.load_profile("hypfrob")
 
 
 @pytest.fixture(scope="session")

@@ -143,7 +143,7 @@ def test_criterion_4_dual_path_identities():
     # direct vs decomposed ensemble averages, ten functionals, g = 1 and 2
     for g in (1, 2):
         spec = ens.EnsembleSpec(3, g)
-        for name, func in harness._battery(3):
+        for name, func in harness._battery(3, g):
             direct = ens.ensemble_average(spec, lambda c: func(c.Q))
             decomposed = ens.moebius_decomposed_average(spec, func)
             if direct != decomposed:

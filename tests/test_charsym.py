@@ -1,5 +1,6 @@
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from hypfrob import charsym as cs
@@ -106,7 +107,6 @@ def monics(q, max_degree=4):
 
 
 class TestJacobiProperties:
-    @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(FIELDS), st.data())
     def test_multiplicative_in_the_numerator(self, q, data):
         A = data.draw(monics(q))
@@ -114,7 +114,6 @@ class TestJacobiProperties:
         assert (cs.jacobi_symbol(pf.poly_mul(B1, B2, q), A, q)
                 == cs.jacobi_symbol(B1, A, q) * cs.jacobi_symbol(B2, A, q))
 
-    @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(FIELDS), st.data())
     def test_multiplicative_in_the_denominator(self, q, data):
         A1, A2 = data.draw(monics(q)), data.draw(monics(q))
@@ -122,12 +121,62 @@ class TestJacobiProperties:
         assert (cs.jacobi_symbol(B, pf.poly_mul(A1, A2, q), q)
                 == cs.jacobi_symbol(B, A1, q) * cs.jacobi_symbol(B, A2, q))
 
-    @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(FIELDS), st.data())
     def test_reciprocity(self, q, data):
         A, B = data.draw(monics(q, 6)), data.draw(monics(q, 6))
         sign = (-1) ** ((q - 1) // 2 * pf.degree(A) * pf.degree(B))
         assert cs.jacobi_symbol(A, B, q) == sign * cs.jacobi_symbol(B, A, q)
+
+
+def padded(polys, width):
+    """Coefficient rows, lowest first, zero-padded to `width` columns."""
+    rows = np.zeros((len(polys), width), np.int64)
+    for i, f in enumerate(polys):
+        rows[i, :len(f)] = f
+    return rows
+
+
+class TestJacobiKernel:
+    def test_matches_scalar_on_the_exhaustive_grid(self):
+        # monic A of degree 1..4 against B = 0 or a unit times a monic of
+        # degree 0..3, as one broadcast grid
+        denoms = [f for d in range(1, 5) for f in pf.monic_polys(d, 3)]
+        numers = [()] + [pf.scalar_mul(u, f, 3) for d in range(4)
+                         for f in pf.monic_polys(d, 3) for u in (1, 2)]
+        got = cs.jacobi_symbols(padded(numers, 4)[:, None], padded(denoms, 5)[None], 3)
+        assert got.dtype == np.int8
+        assert got.tolist() == [[cs.jacobi_symbol(B, A, 3) for A in denoms] for B in numers]
+
+    @given(st.sampled_from(FIELDS + (137,)), st.data())
+    def test_matches_scalar_on_drawn_pairs(self, q, data):
+        # B: zero, constants and non-monic polynomials of degree up to 8;
+        # A: monic of degree 0..6, so deg B falls both below and above deg A
+        pairs = data.draw(st.lists(st.tuples(polys(q, 8), monics(q, 6)), min_size=1, max_size=12))
+        got = cs.jacobi_symbols(padded([B for B, _ in pairs], 9),
+                                padded([A for _, A in pairs], 7), q)
+        assert got.tolist() == [cs.jacobi_symbol(B, A, q) for B, A in pairs]
+
+    def test_batch_longer_than_a_chunk(self):
+        q, n = 7, cs.CHUNK_PAIRS + 517
+        rng = np.random.default_rng(0)
+        B = rng.integers(0, q, (n, 9))
+        deg = rng.integers(0, 6, n)
+        A = np.where(np.arange(6) < deg[:, None], rng.integers(0, q, (n, 6)), 0)
+        A[np.arange(n), deg] = 1
+        got = cs.jacobi_symbols(B, A, q)
+        for b, a, symbol in zip(B.tolist(), A.tolist(), got.tolist()):
+            assert symbol == cs.jacobi_symbol(pf.poly(b, q), pf.poly(a, q), q)
+
+    def test_single_pair_and_constant_denominator(self):
+        B, A = (0, 1), (1, 2, 0, 1)
+        assert cs.jacobi_symbols(B, A, 3) == cs.jacobi_symbol(B, A, 3) == -1
+        assert cs.jacobi_symbols((), (1,), 3) == 1
+        assert cs.jacobi_symbols((), (0, 1), 3) == 0
+
+    def test_non_monic_denominator_rejected(self):
+        for A in ([[0, 2, 2]], [[0, 0]], [[2]]):
+            with pytest.raises(ValueError):
+                cs.jacobi_symbols([[0, 1]], A, 3)
 
 
 class TestCurveCharacter:

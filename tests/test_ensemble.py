@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from hypfrob import cache as cachemod
@@ -56,7 +56,8 @@ class TestEngine:
             N = data.N
             for i in range(data.count):
                 curve = data.curve(i)
-                ld = lf.complete_l(curve, lf.dirichlet_coefficients(curve, strategy="enumerate"))
+                A = lf.dirichlet_coefficients(curve.Q, curve.q, strategy="enumerate")
+                ld = lf.complete_l(curve, A)
                 assert list(data.s[i]) == lf.traces_from_lpoly(ld, N)
 
     @pytest.mark.parametrize("q,g,N,stride", [(11, 1, 4, 1), (13, 1, 4, 1), (7, 2, 6, 293)])
@@ -64,7 +65,8 @@ class TestEngine:
         data = ens.compute_ensemble_data(q, g, N)
         for i in range(0, data.count, stride):
             curve = data.curve(i)
-            ld = lf.complete_l(curve, lf.dirichlet_coefficients(curve, strategy="enumerate"))
+            A = lf.dirichlet_coefficients(curve.Q, curve.q, strategy="enumerate")
+            ld = lf.complete_l(curve, A)
             assert list(data.s[i]) == lf.traces_from_lpoly(ld, N)
 
     def test_int32_residues_where_int16_would_wrap(self):
@@ -80,7 +82,8 @@ class TestEngine:
         s = engine.traces(coeffs)
         for i, Q in enumerate(rows):
             curve = lf.Curve(q=q, g=g, Q=Q)
-            ld = lf.complete_l(curve, lf.dirichlet_coefficients(curve, strategy="enumerate"))
+            A = lf.dirichlet_coefficients(curve.Q, curve.q, strategy="enumerate")
+            ld = lf.complete_l(curve, A)
             assert list(s[i]) == lf.traces_from_lpoly(ld, N)
 
     def test_traces_independent_of_row_splits(self, data_q5g3):
@@ -141,7 +144,7 @@ class TestEngine:
     def test_prime_symbol_sums_exact_at_the_deepest_newton_depth(self):
         # the int64 inversion sums against the same recursion in Python ints
         q, g, N = 13, 2, 30
-        coeffs = ens.curve_coeff_matrix(q, g, ens.squarefree_codes(q, g))[::1709]
+        coeffs = pf.monic_rows(ens.squarefree_codes(q, g), 2 * g + 1, q)[::1709]
         s = ens.TraceEngine(q, g, N).traces(coeffs)
         z = ens.divisor_degree_counts(q, g, N, coeffs)
         c = ens.prime_symbol_sums(q, g, s, z)
@@ -183,7 +186,7 @@ class TestEngine:
         # the sieve against factorization on a stride, and against the
         # kernel's zero counts of chi_Q on every row
         g, N = 2, 6
-        coeffs = ens.curve_coeff_matrix(q, g, ens.squarefree_codes(q, g))
+        coeffs = pf.monic_rows(ens.squarefree_codes(q, g), 2 * g + 1, q)
         z = ens.divisor_degree_counts(q, g, N, coeffs)
         engine = ens.TraceEngine(q, g, N)
         kernel_z = ens._map_chunks(lambda rows: engine._symbol_sums(rows)[1], coeffs)
@@ -330,9 +333,6 @@ class TestMomentSpec:
     def test_distinct_powers_required(self):
         with pytest.raises(ValueError):
             ens.MomentSpec(((2, 1), (2, 2)))
-
-    def test_etas(self):
-        assert ens.MomentSpec(((2, 1), (3, 1))).etas() == (1, 0)
 
 
 class TestTraceProductMoment:
@@ -531,7 +531,6 @@ _NEAR_EDGE = st.one_of(st.integers(-3, 3),
 
 
 class TestDistinctRows:
-    @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda m: st.tuples(
         st.lists(st.tuples(*[_NEAR_EDGE] * m), min_size=1, max_size=8),
         st.lists(st.integers(0, 7), min_size=1, max_size=40))))

@@ -7,6 +7,8 @@ import pytest
 from hypfrob import cache as cachemod
 from hypfrob import ensemble as ens
 from hypfrob import harness
+from hypfrob import lfunction as lf
+from hypfrob import polyfield as pf
 from hypfrob.cli import main
 
 
@@ -179,6 +181,36 @@ def test_verify_lines_pinned(q, g):
     result = harness.verify_suite(q, g)
     assert result.ok
     assert "\n".join(result.lines()) == VERIFY_LINES[q, g]
+
+
+def test_verify_lines_independent_of_the_pass_size(monkeypatch):
+    # 32 primes through degree 4, 14 through degree 3: the 18 curves go
+    # through in passes of 6, the battery's 27 moduli in passes of 14
+    monkeypatch.setattr(harness, "PAIRS_PER_PASS", 200)
+    assert "\n".join(harness.verify_suite(3, 1).lines()) == VERIFY_LINES[3, 1]
+
+
+def test_a_flipped_kernel_symbol_fails_the_dual_trace_paths(tmp_path, capsys, monkeypatch):
+    # flip (Q/P) for curve 5 and the first degree-4 prime: at q = 3, g = 1 only
+    # the batched prime pass reaches degree 4 (the Dirichlet sums stop at 2,
+    # the dual-average battery at 3)
+    Q = ens.compute_ensemble_data(3, 1, 4).coeffs[5]
+    P = np.array(pf.get_prime_table(3, 4).first_irreducible(4))
+    kernel = lf.jacobi_symbols
+
+    def flipped(B, A, q):
+        out = kernel(B, A, q)
+        if A.shape[-1] == len(P):
+            out[(B == Q).all(axis=-1) & (A == P).all(axis=-1)] *= -1
+        return out
+
+    monkeypatch.setattr(lf, "jacobi_symbols", flipped)
+    line = ("[FAIL] dual trace paths: explicit sums == Newton power sums (n <= 4), all curves; "
+            "1 of 18 failed, first curve 5: explicit vs Newton mismatch")
+    assert line in harness.verify_suite(3, 1).lines()
+    assert run_cli(["verify", "--q", "3", "--g", "1", "--cache-dir", str(tmp_path / "cache"),
+                    "--out", str(tmp_path)]) == 1
+    assert line in [ln.strip() for ln in capsys.readouterr().out.splitlines()]
 
 
 class TestReports:

@@ -2,10 +2,11 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from hypfrob import lfunction as lf
-from hypfrob.charsym import jacobi_symbol
+from hypfrob.charsym import jacobi_symbols
 from hypfrob import polyfield as pf
 
 
@@ -26,21 +27,36 @@ class TestCurve:
 
 class TestDirichletCoefficients:
     def test_example_curve(self):
-        assert lf.dirichlet_coefficients(EXAMPLE) == [1, 3, 3]
+        assert lf.dirichlet_coefficients(EXAMPLE.Q, 3) == [1, 3, 3]
 
     def test_constant_coefficient_always_one(self, data_g2):
         for i in range(0, data_g2.count, 17):
-            assert lf.dirichlet_coefficients(data_g2.curve(i))[0] == 1
+            assert lf.dirichlet_coefficients(data_g2.curve(i).Q, 3)[0] == 1
 
     def test_strategies_agree(self, data_g2):
         for i in range(data_g2.count):
             curve = data_g2.curve(i)
-            assert (lf.dirichlet_coefficients(curve, strategy="enumerate")
-                    == lf.dirichlet_coefficients(curve, strategy="funceq"))
+            assert (lf.dirichlet_coefficients(curve.Q, curve.q, strategy="enumerate")
+                    == lf.dirichlet_coefficients(curve.Q, curve.q, strategy="funceq"))
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
-            lf.dirichlet_coefficients(EXAMPLE, strategy="magic")
+            lf.dirichlet_coefficients(EXAMPLE.Q, 3, strategy="magic")
+
+
+class TestStackedPasses:
+    def test_stack_rows_match_single_moduli(self, data_g2):
+        sample = data_g2.coeffs[::7]
+        symbols = lf.prime_symbols(sample, 3, 4)
+        A = lf.dirichlet_coefficients(sample, 3, strategy="enumerate")
+        assert A.shape == (len(sample), 5)
+        for j, Q in enumerate(sample.tolist()):
+            assert lf.symbol_row(symbols, j) == lf.prime_symbols(tuple(Q), 3, 4)
+            assert A[j].tolist() == lf.dirichlet_coefficients(tuple(Q), 3, strategy="enumerate")
+
+    def test_even_degree_moduli_rejected(self):
+        with pytest.raises(ValueError):
+            lf.dirichlet_coefficients((1, 0, 1), 3)
 
 
 class TestCompleteL:
@@ -78,10 +94,12 @@ class TestTraces:
         calls = []
 
         def counting(B, A, q):
-            calls.append(A)
-            return jacobi_symbol(B, A, q)
+            out = jacobi_symbols(B, A, q)
+            denominators = np.broadcast_to(A, out.shape + A.shape[-1:])
+            calls.extend(map(tuple, denominators.reshape(-1, A.shape[-1]).tolist()))
+            return out
 
-        monkeypatch.setattr(lf, "jacobi_symbol", counting)
+        monkeypatch.setattr(lf, "jacobi_symbols", counting)
         curve = lf.Curve.from_coeffs(3, (1, 2, 0, 0, 0, 1))  # x^5 + 2x + 1
         N = 6
         s = lf.traces_explicit(curve, N)

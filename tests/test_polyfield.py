@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from hypfrob import polyfield as pf
@@ -234,7 +234,6 @@ class TestPrimeTable:
 
 
 class TestProperties:
-    @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(FIELDS), st.data())
     def test_divmod_identity_and_gcd_divisibility(self, q, data):
         f = data.draw(polys(q))
@@ -246,7 +245,6 @@ class TestProperties:
         assert pf.is_monic(d)
         assert not pf.poly_mod(f, d, q) and not pf.poly_mod(g, d, q)
 
-    @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(FIELDS), st.data())
     def test_factorize_round_trip(self, q, data):
         f = data.draw(polys(q, nonzero=True))
@@ -256,7 +254,6 @@ class TestProperties:
         assert len(set(primes)) == len(primes)
         assert all(pf.is_monic(prime) and mult >= 1 for prime, mult in fact.factors)
 
-    @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(FIELDS), st.data())
     def test_squarefree_against_factorization(self, q, data):
         # f = h(x^q) has f' = 0, the branch gcd(f, f') cannot decide

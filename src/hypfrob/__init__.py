@@ -9,7 +9,6 @@ from .ensemble import (
     MomentSpec,
     TraceEngine,
     compute_ensemble_data,
-    enumerate_curves,
     ensemble_average,
     moebius_decomposed_average,
     multi_char_sum,

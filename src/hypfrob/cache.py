@@ -66,11 +66,13 @@ def read_trace_cache(path):
         raise CacheFormatError(f"{path}: bad magic")
     if version != VERSION:
         raise CacheFormatError(f"{path}: version {version} != {VERSION}")
+    # sizes in Python ints first: a header's g or N can be beyond any dtype,
+    # and no cache is written with zero records
     width = 2 * g + 2
-    dtype = np.dtype([("Q", np.uint8, (width,)), ("s", "<i8", (N,))])
     body = blob[HEADER.size:]
-    if len(body) != count * dtype.itemsize:
-        raise CacheFormatError(f"{path}: truncated record section")
+    if not count or len(body) != count * (width + 8 * N):
+        raise CacheFormatError(f"{path}: record section does not match the header")
+    dtype = np.dtype([("Q", np.uint8, (width,)), ("s", "<i8", (N,))])
     records = np.frombuffer(body, dtype)
     coeffs = records["Q"].copy()
     s = records["s"].astype(np.int64)

@@ -1,7 +1,10 @@
 """Exhaustive computations over the ensemble of monic squarefree odd-degree
-polynomials: enumeration, exact averages, auxiliary Moebius/character sums,
-trace-product moments, and the prime / prime-square / higher-power
-decomposition of traces.
+polynomials: the squarefree sieve, exact averages, auxiliary Moebius and
+character sums, trace-product moments, and the prime / prime-square /
+higher-power decomposition of traces.
+
+Averages and Moebius sums are sums over integer tables indexed by the
+monic codes of one degree, read through the product sieve of `polyfield`.
 
 The bulk pipeline is vectorized with numpy but stays exact: coefficients,
 character values and scaled traces are small integers, sums are checked
@@ -31,12 +34,13 @@ from .lfunction import Curve, prime_symbols, symbol_power_sum
 from .polyfield import (
     check_field,
     codes_to_digits,
+    degree,
     divisor_counts,
     get_prime_table,
     irreducible_count,
-    is_squarefree,
-    mobius,
+    mobius_table,
     monic_from_code,
+    monic_multiple_codes,
     monic_polys,
     monic_rows,
     poly_mod,
@@ -138,25 +142,6 @@ def squarefree_codes(q, g, budget=DEFAULT_BUDGET):
         raise ArithmeticError(
             f"squarefree sieve count {len(codes)} != {spec.count} at q={q}, g={g}")
     return codes
-
-
-def curve_from_code(spec, code):
-    return Curve(q=spec.q, g=spec.g, Q=monic_from_code(int(code), spec.degree, spec.q))
-
-
-def enumerate_curves(spec, method="sieve", budget=DEFAULT_BUDGET):
-    """Every curve of the ensemble exactly once, in canonical order."""
-    if method == "sieve":
-        for code in squarefree_codes(spec.q, spec.g, budget):
-            yield curve_from_code(spec, int(code))
-    elif method == "filter":
-        spec.check_budget(budget)
-        for code in range(spec.q ** spec.degree):
-            Q = monic_from_code(code, spec.degree, spec.q)
-            if is_squarefree(Q, spec.q):
-                yield Curve(q=spec.q, g=spec.g, Q=Q)
-    else:
-        raise ValueError(f"unknown enumeration method {method!r}")
 
 
 # -- vectorized trace engine ---------------------------------------------------
@@ -421,63 +406,72 @@ def compute_ensemble_data(q, g, N, *, budget=DEFAULT_BUDGET):
 
 # -- exact ensemble averages ---------------------------------------------------
 
-def ensemble_average(spec, func, budget=DEFAULT_BUDGET):
-    """Exact mean of a per-curve functional over the full ensemble."""
-    total = Fraction(0)
-    for curve in enumerate_curves(spec, budget=budget):
-        total += Fraction(func(curve))
-    return total / spec.count
+def ensemble_average(spec, values, budget=DEFAULT_BUDGET):
+    """Exact mean over the ensemble of a functional tabulated on the monic
+    codes of degree 2g+1, the last axis of `values`: a Fraction for one
+    table, a list of them for a stack, summed at the squarefree codes."""
+    values = _code_table(spec, values)
+    return _means(values[..., squarefree_codes(spec.q, spec.g, budget)].sum(axis=-1), spec)
 
 
-def moebius_decomposed_average(spec, func, budget=DEFAULT_BUDGET):
-    """The same mean through the squarefree-indicator decomposition:
-    sum over A^2 B = (monic of degree 2g+1) of mu(A) func(A^2 B).
-
-    `func` must accept every monic polynomial of degree 2g+1, squarefree
-    or not; must agree with `ensemble_average` for any such functional.
-    """
+def moebius_decomposed_average(spec, values, budget=DEFAULT_BUDGET):
+    """The same mean through the squarefree-indicator decomposition: the sum
+    of mu(A) values[A^2 B] over monic A of degree <= g, read at the codes of
+    the multiples of A^2.  `values` covers squarefree and other codes alike."""
     spec.check_budget(budget)
-    q, g = spec.q, spec.g
-    total = Fraction(0)
-    for alpha in range(0, g + 1):
-        beta = 2 * g + 1 - 2 * alpha
-        for A in monic_polys(alpha, q):
-            mu = mobius(A, q)
-            if mu == 0:
-                continue
-            A2 = poly_mul(A, A, q)
-            for B in monic_polys(beta, q):
-                total += mu * Fraction(func(poly_mul(A2, B, q)))
-    return total / spec.count
+    q = spec.q
+    values = _code_table(spec, values)
+    total = 0
+    for alpha in range(spec.g + 1):
+        mu = mobius_table(alpha, q)
+        for code in np.flatnonzero(mu):
+            A = monic_from_code(int(code), alpha, q)
+            multiples = monic_multiple_codes(poly_mul(A, A, q), spec.degree, q)
+            total += int(mu[code]) * values[..., multiples].sum(axis=-1)
+    return _means(total, spec)
+
+
+def _code_table(spec, values):
+    """`values` as int64, checked to cover the q^(2g+1) codes with entries
+    below INT64_SAFE / q^(2g+1).  No int64 sum of either average passes 2^63
+    then: the Moebius one adds at most q/(q-1) q^(2g+1) entries."""
+    values = np.asarray(values, np.int64)
+    size = spec.q ** spec.degree
+    if values.shape[-1:] != (size,) or np.abs(values).max(initial=0) >= INT64_SAFE // size:
+        raise ValueError(f"need an int64 table over the {size} codes of degree "
+                         f"{spec.degree} with entries below {INT64_SAFE // size}")
+    return values
+
+
+def _means(totals, spec):
+    means = [Fraction(int(t), spec.count) for t in np.ravel(totals)]
+    return means if np.ndim(totals) else means[0]
 
 
 # -- auxiliary sums ------------------------------------------------------------
 
-def sigma_sum(q, degrees, alpha, representatives=None, table=None):
+def sigma_sum(q, degrees, alpha, representatives=None, budget=DEFAULT_BUDGET):
     """Moebius sum over monic A of degree alpha coprime to fixed distinct
     primes of the given degrees; depends only on the degree multiset."""
     degrees = tuple(degrees)
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    if table is None:
-        table = get_prime_table(q, max([alpha] + [d // 2 for d in degrees] + list(degrees) + [1]))
+    if q ** alpha > budget:
+        raise BudgetError(f"a Moebius table over q^{alpha} = {q ** alpha} codes exceeds "
+                          f"budget {budget}")
     if representatives is None:
-        representatives = default_representatives(q, degrees, table)
+        representatives = default_representatives(q, degrees)
     reps = tuple(representatives)
     if len(reps) != len(degrees) or len(set(reps)) != len(reps):
         raise ValueError("need pairwise distinct prime representatives")
-    total = 0
-    for A in monic_polys(alpha, q):
-        if any(not poly_mod(A, prime, q) for prime in reps):
-            continue
-        total += mobius(A, q)
-    return total
+    coprime = divisor_counts([P for P in reps if degree(P) <= alpha], alpha, q) == 0
+    return int(mobius_table(alpha, q)[coprime].sum())
 
 
 def default_representatives(q, degrees, table=None):
     """First unused prime of each requested degree, canonical order."""
     if table is None:
-        table = get_prime_table(q, max(degrees))
+        table = get_prime_table(q, max(degrees, default=1))
     used = {}
     reps = []
     for d in degrees:

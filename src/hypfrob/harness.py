@@ -34,7 +34,7 @@ from .lfunction import (
     traces_from_eigenphases,
     traces_from_lpoly,
 )
-from .polyfield import get_prime_table, monic_code, monic_rows, poly
+from .polyfield import get_prime_table, monic_rows, poly
 
 CACHE_ENV = "HYPFROB_CACHE_DIR"
 PAIRS_PER_PASS = 2 ** 20  # (modulus, prime) pairs per batched symbol pass: ~1 MB of int8
@@ -165,30 +165,25 @@ def _reflect_phase(t):
 
 
 def _battery(q, g):
-    """Per-modulus functionals, total on all monic arguments, for the
-    dual-average identity check at genus g.  All ten read one memo, local to
-    this call, of each monic modulus M of degree 2g+1: (M/x), (M/(x+1)) and
-    the explicit sums t_1..t_3, from batched `prime_symbols` passes through
-    degree 3 over every such M in code order."""
+    """(name, table) pairs of the ten functionals of the dual-average check
+    at genus g, each an int64 table over the monic codes of degree 2g+1,
+    total on all monic arguments.  Each table is a product of the columns
+    (M/x), (M/(x+1)) and the explicit sums t_1..t_3 of one batched
+    `prime_symbols` pass through degree 3 over every such M in code order."""
     table = get_prime_table(q, 3)
     linear = table.irreducibles(1)
     at_x, at_x1 = linear.index(poly((0, 1), q)), linear.index(poly((1, 1), q))
     degree = 2 * g + 1
-    memo = []
-    codes = range(q ** degree)
+    codes = np.arange(q ** degree)
+    cols = np.empty((5, len(codes)), np.int64)  # chi(x), chi(x+1), t1, t2, t3
     for part in _passes(len(codes), sum(table.counts[d] for d in (1, 2, 3))):
-        symbols = prime_symbols(monic_rows(np.array(codes[part]), degree, q), q, 3, table)
-        memo += zip(symbols[1][:, at_x].tolist(), symbols[1][:, at_x1].tolist(),
-                    *(explicit_sum(symbols, n).tolist() for n in (1, 2, 3)))
-
-    def values(M):  # (chi(x), chi(x+1), t1, t2, t3)
-        return memo[monic_code(M, q)]
-
-    # each functional is the product of the listed entries of values(M)
+        symbols = prime_symbols(monic_rows(codes[part], degree, q), q, 3, table)
+        cols[:, part] = [symbols[1][:, at_x], symbols[1][:, at_x1],
+                         *(explicit_sum(symbols, n) for n in (1, 2, 3))]
     factors = (("one", ()), ("chi(x)", (0,)), ("chi(x+1)", (1,)), ("chi(x)^2", (0, 0)),
                ("chi(x(x+1))", (0, 1)), ("t1", (2,)), ("t2", (3,)), ("t1^2", (2, 2)),
                ("t1*t2", (2, 3)), ("t3", (4,)))
-    return [(name, lambda M, idx=idx: math.prod(values(M)[j] for j in idx))
+    return [(name, math.prod((cols[j] for j in idx), start=np.ones(len(codes), np.int64)))
             for name, idx in factors]
 
 
@@ -315,10 +310,11 @@ def verify_suite(q, g, cache_dir=None, budget=ens.DEFAULT_BUDGET, exhaustive=Non
 
     if g <= 3:
         averages = _Tally("dual averages", "direct == Moebius-decomposed for 10 functionals")
-        for name, func in _battery(q, g):
-            direct = ens.ensemble_average(spec, lambda c: func(c.Q), budget=budget)
-            decomposed = ens.moebius_decomposed_average(spec, func, budget=budget)
-            averages.record(name, direct == decomposed, f"{direct} != {decomposed}")
+        names, tables = zip(*_battery(q, g))
+        direct = ens.ensemble_average(spec, tables, budget=budget)
+        decomposed = ens.moebius_decomposed_average(spec, tables, budget=budget)
+        for name, d, m in zip(names, direct, decomposed):
+            averages.record(name, d == m, f"{d} != {m}")
         checks.append(averages.entry())
 
     try:
@@ -555,7 +551,7 @@ def _cmd_sigma(config):
     degrees = tuple(config.degrees)
     amax = config.alpha_max
     for alpha in range(0, amax + 1):
-        val = ens.sigma_sum(config.q, degrees, alpha)
+        val = ens.sigma_sum(config.q, degrees, alpha, budget=config.budget)
         # the closed table applies for alpha < min degree (alpha = 0 always)
         if alpha == 0:
             ref = 1

@@ -347,6 +347,8 @@ class ZMomentReport:
 def z_moments(data, tf, m):
     """First m raw and central moments of the statistic over the ensemble,
     exactly accumulated, with Gaussian reference moments attached."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     q, g, n = data.q, data.g, data.count
     N = 2 * g
     w = z_weights(tf, N, q)

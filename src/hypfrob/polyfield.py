@@ -182,16 +182,6 @@ def poly_pow_mod(f, e, mod, p):
 
 # -- canonical enumeration ---------------------------------------------------
 
-def monic_code(f, p):
-    """Integer code of a monic polynomial within its degree block."""
-    if not is_monic(f):
-        raise ValueError("code is defined for monic polynomials")
-    code = 0
-    for c in reversed(f[:-1]):
-        code = code * p + c
-    return code
-
-
 def monic_from_code(code, d, p):
     coeffs = []
     for _ in range(d):
@@ -255,6 +245,16 @@ def divisor_counts(fs, D, p):
     for f in fs:
         counts[monic_multiple_codes(f, D, p)] += 1
     return counts
+
+
+def mobius_table(d, p):
+    """The Moebius function on the monic polynomials of degree d, an int8
+    array indexed by code, from the product sieve: 0 where a prime square
+    divides, else (-1)^(number of prime divisors)."""
+    table = get_prime_table(p, max(d, 1))
+    mu = 1 - 2 * (divisor_counts(table.primes_up_to(d), d, p) % 2).astype(np.int8)
+    mu[divisor_counts([poly_mul(P, P, p) for P in table.primes_up_to(d // 2)], d, p) > 0] = 0
+    return mu
 
 
 # -- factorization -----------------------------------------------------------

@@ -122,12 +122,14 @@ def test_criterion_3_closed_form_sum_tables():
     triples = [tuple(table.irreducibles(1))]
     moduli = (singles + pairs + triples)[:20]
     assert len(moduli) == 20
-    curves = list(ens.enumerate_curves(spec))
+    curves = [pf.monic_from_code(int(c), 5, 3) for c in ens.squarefree_codes(3, 2)]
+    if curves != [M for M in pf.monic_polys(5, 3) if pf.is_squarefree(M, 3)]:
+        failures.append("squarefree sieve differs from the is_squarefree filter")
     for primes in moduli:
         f = (1,)
         for prime in primes:
             f = pf.poly_mul(f, prime, 3)
-        hits = sum(1 for c in curves if pf.degree(pf.poly_gcd(c.Q, f, 3)) > 0)
+        hits = sum(1 for Q in curves if pf.degree(pf.poly_gcd(Q, f, 3)) > 0)
         avg = 1 - Fraction(hits, spec.count)
         lower = 1 - Fraction(1, 1 - Fraction(1, 3)) * sum(
             Fraction(1, 3 ** pf.degree(p)) for p in primes)
@@ -143,9 +145,9 @@ def test_criterion_4_dual_path_identities():
     # direct vs decomposed ensemble averages, ten functionals, g = 1 and 2
     for g in (1, 2):
         spec = ens.EnsembleSpec(3, g)
-        for name, func in harness._battery(3, g):
-            direct = ens.ensemble_average(spec, lambda c: func(c.Q))
-            decomposed = ens.moebius_decomposed_average(spec, func)
+        for name, table in harness._battery(3, g):
+            direct = ens.ensemble_average(spec, table)
+            decomposed = ens.moebius_decomposed_average(spec, table)
             if direct != decomposed:
                 failures.append(f"averages differ for {name} at g={g}")
     # Euclidean vs factorization-product Jacobi symbols

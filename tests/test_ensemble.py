@@ -22,9 +22,9 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("q,g", [(3, 1), (3, 2), (5, 1)])
     def test_sieve_matches_filter(self, q, g):
-        spec = ens.EnsembleSpec(q, g)
-        sieved = [c.Q for c in ens.enumerate_curves(spec, method="sieve")]
-        filtered = [c.Q for c in ens.enumerate_curves(spec, method="filter")]
+        D = 2 * g + 1
+        sieved = [pf.monic_from_code(int(c), D, q) for c in ens.squarefree_codes(q, g)]
+        filtered = [M for M in pf.monic_polys(D, q) if pf.is_squarefree(M, q)]
         assert sieved == filtered
 
     def test_emitted_curves_are_squarefree(self, data_g2):
@@ -218,20 +218,26 @@ class TestEngine:
                                   np.zeros((1, 32), np.int16))
 
 
+def _tabulate(func, g, q=3):
+    """A functional of monic M as an int64 table over the codes of degree 2g+1."""
+    return np.array([func(M) for M in pf.monic_polys(2 * g + 1, q)], np.int64)
+
+
 class TestAverages:
     def test_constant_functional(self, data_g1):
         spec = ens.EnsembleSpec(3, 1)
-        assert ens.ensemble_average(spec, lambda c: 1) == 1
-        assert ens.moebius_decomposed_average(spec, lambda M: 1) == 1
+        assert ens.ensemble_average(spec, _tabulate(lambda M: 1, 1)) == 1
+        assert ens.moebius_decomposed_average(spec, _tabulate(lambda M: 1, 1)) == 1
 
     def test_chi_square_argument_and_sandwich(self):
         # <chi_Q(x^2)> = 1 - (number of curves divisible by x)/count, and the
         # sandwich 1 - (1/(1-1/q)) sum 1/|P| <= <chi_Q(f^2)> <= 1
         spec = ens.EnsembleSpec(3, 2)
         x = pf.poly((0, 1), 3)
-        avg = ens.ensemble_average(
-            spec, lambda c: jacobi_symbol(c.Q, x, 3) ** 2)
-        divisible = sum(1 for c in ens.enumerate_curves(spec) if not pf.poly_mod(c.Q, x, 3))
+        avg = ens.ensemble_average(spec, _tabulate(lambda M: jacobi_symbol(M, x, 3) ** 2, 2))
+        curves = [pf.monic_from_code(int(c), 5, 3) for c in ens.squarefree_codes(3, 2)]
+        assert curves == [M for M in pf.monic_polys(5, 3) if pf.is_squarefree(M, 3)]
+        divisible = sum(1 for Q in curves if not pf.poly_mod(Q, x, 3))
         assert avg == 1 - Fraction(divisible, spec.count)
         assert 1 - Fraction(1, 1 - Fraction(1, 3)) * Fraction(1, 3) <= avg <= 1
 
@@ -245,15 +251,23 @@ class TestAverages:
         assert total == 0
         assert int(data_g1.s[:, 0].sum()) == total
 
+    def test_tables_must_cover_the_codes_within_int64(self):
+        spec = ens.EnsembleSpec(3, 1)
+        with pytest.raises(ValueError, match="27 codes"):
+            ens.ensemble_average(spec, np.ones(26, np.int64))
+        huge = np.full(27, ens.INT64_SAFE // 27, np.int64)
+        for average in (ens.ensemble_average, ens.moebius_decomposed_average):
+            with pytest.raises(ValueError, match="int64"):
+                average(spec, huge)
+
     @pytest.mark.parametrize("g", [1, 2])
     def test_moebius_identity_for_trace_functionals(self, g):
         spec = ens.EnsembleSpec(3, g)
         table = pf.get_prime_table(3, 2 * g + 1)
         for n in (1, 2):
-            direct = ens.ensemble_average(
-                spec, lambda c: lf.explicit_trace_sum(c.Q, 3, n, table))
-            decomposed = ens.moebius_decomposed_average(
-                spec, lambda M: lf.explicit_trace_sum(M, 3, n, table))
+            values = _tabulate(lambda M: lf.explicit_trace_sum(M, 3, n, table), g)
+            direct = ens.ensemble_average(spec, values)
+            decomposed = ens.moebius_decomposed_average(spec, values)
             assert direct == decomposed
 
 
@@ -287,6 +301,23 @@ class TestSigmaSum:
     def test_insufficient_distinct_primes(self):
         with pytest.raises(ValueError):
             ens.sigma_sum(3, (1, 1, 1, 1), 2)
+
+    @pytest.mark.parametrize("q,degrees,values", [
+        (3, (2, 3), (1, -3, 1, -2, -2, -2)),
+        (5, (1, 1, 2), (1, -3, -6, -14, -21))])
+    def test_values_past_the_closed_table(self, q, degrees, values):
+        assert tuple(ens.sigma_sum(q, degrees, alpha) for alpha in range(len(values))) == values
+
+    @given(st.data())
+    def test_random_representatives_match_a_mobius_loop(self, data):
+        q = data.draw(st.sampled_from((3, 5, 7)))
+        alpha = data.draw(st.integers(0, {3: 5, 5: 3, 7: 3}[q]))
+        primes = list(pf.get_prime_table(q, 4).primes_up_to(4))
+        reps = data.draw(st.lists(st.sampled_from(primes), min_size=1, max_size=3, unique=True))
+        degrees = [pf.degree(P) for P in reps]
+        expected = sum(pf.mobius(A, q) for A in pf.monic_polys(alpha, q)
+                       if all(pf.poly_mod(A, P, q) for P in reps))
+        assert ens.sigma_sum(q, degrees, alpha, representatives=reps) == expected
 
 
 class TestMultiCharSum:
@@ -345,7 +376,7 @@ class TestTraceProductMoment:
         spec = ens.EnsembleSpec(3, 2)
         table = pf.get_prime_table(3, 2)
         decomposed = ens.moebius_decomposed_average(
-            spec, lambda M: -lf.explicit_trace_sum(M, 3, 2, table))
+            spec, _tabulate(lambda M: -lf.explicit_trace_sum(M, 3, 2, table), 2))
         assert Fraction(decomposed, 3) == rep.empirical.frac
 
     def test_odd_single_traces_vanish(self, data_g2):

@@ -84,6 +84,11 @@ class TestExitCodes:
         code = run_cli(["verify", "--q", "3", "--g", "8",
                         "--cache-dir", str(tmp_path / "cache")])
         assert code == 3
+        # 3^7 monic codes exceed a budget of 1000, 3^6 do not
+        assert run_cli(["sigma", "--q", "3", "--degrees", "2", "--alpha-max", "6",
+                        "--budget", "1000", "--out", str(tmp_path)]) == 0
+        assert run_cli(["sigma", "--q", "3", "--degrees", "2", "--alpha-max", "7",
+                        "--budget", "1000", "--out", str(tmp_path)]) == 3
 
     def test_config_error(self, capsys):
         code = run_cli(["moment", "--q", "3", "--g", "1", "--spec", "(2,1);(2,2)"])
@@ -102,6 +107,14 @@ class TestExitCodes:
                         "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path)])
         assert code == 2
         assert "l must be >= 0" in capsys.readouterr().err
+
+    def test_nonpositive_moment_count_is_a_config_error(self, tmp_path, capsys):
+        for m in ("0", "-1"):
+            code = run_cli(["linstat", "--q", "3", "--g", "1", "--moments", m,
+                            "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path)])
+            assert code == 2
+            assert "m must be >= 1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("linstat*"))
 
     def test_newton_depth_beyond_int64_refused(self, tmp_path, capsys):
         code = run_cli(["moment", "--q", "13", "--g", "2", "--N", "31", "--spec", "(31,1)",
@@ -188,6 +201,15 @@ def test_verify_lines_independent_of_the_pass_size(monkeypatch):
     # through in passes of 6, the battery's 27 moduli in passes of 14
     monkeypatch.setattr(harness, "PAIRS_PER_PASS", 200)
     assert "\n".join(harness.verify_suite(3, 1).lines()) == VERIFY_LINES[3, 1]
+
+
+@pytest.mark.parametrize("q", [7, 11])
+def test_battery_averages_agree_beyond_small_q(q):
+    spec = ens.EnsembleSpec(q, 1)
+    names, tables = zip(*harness._battery(q, 1))
+    direct = ens.ensemble_average(spec, tables)
+    assert direct == ens.moebius_decomposed_average(spec, tables)
+    assert direct[names.index("one")] == 1 and direct[names.index("chi(x)")] == 0
 
 
 def test_a_flipped_kernel_symbol_fails_the_dual_trace_paths(tmp_path, capsys, monkeypatch):
@@ -303,6 +325,21 @@ class TestReports:
         cache.mkdir()
         path = cache / "traces_q3_g1_N4.bin"
         path.write_bytes(b"HFTR\x01\x00")
+        out = str(tmp_path / "reports")
+        assert run_cli(["dump-cache", "--path", str(path), "--out", out]) == 2
+        assert run_cli(["moment", "--q", "3", "--g", "1", "--N", "4",
+                        "--cache-dir", str(cache), "--out", out]) == 0
+        assert cachemod.read_trace_cache(str(path))[:3] == (3, 1, 4)
+
+    @pytest.mark.parametrize("g,N,count", [(2 ** 31, 4, 18), (1, 2 ** 32 - 1, 18),
+                                           (2 ** 31, 4, 0)])
+    def test_cache_header_beyond_any_record_size_rebuilt(self, tmp_path, g, N, count):
+        # the record size 2g+2 + 8N of such a header fits no numpy dtype
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        path = cache / "traces_q3_g1_N4.bin"
+        path.write_bytes(cachemod.HEADER.pack(cachemod.TR_MAGIC, cachemod.VERSION, 3, g, N,
+                                              count) + bytes(count * 36))
         out = str(tmp_path / "reports")
         assert run_cli(["dump-cache", "--path", str(path), "--out", out]) == 2
         assert run_cli(["moment", "--q", "3", "--g", "1", "--N", "4",

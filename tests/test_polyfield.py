@@ -158,6 +158,15 @@ class TestMobiusVonMangoldt:
                     prod = pf.poly_mul(f, g, 3)
                     assert pf.mobius(prod, 3) == pf.mobius(f, 3) * pf.mobius(g, 3)
 
+    @pytest.mark.parametrize("q", FIELDS)
+    def test_mobius_table_matches_factorization(self, q):
+        d = 0
+        while q ** d <= 3 ** 8:
+            mu = pf.mobius_table(d, q)
+            assert mu.dtype == np.int8 and len(mu) == q ** d
+            assert mu.tolist() == [pf.mobius(f, q) for f in pf.monic_polys(d, q)]
+            d += 1
+
     def test_von_mangoldt_examples(self):
         assert pf.von_mangoldt(P((0, 0, 0, 1)), 3) == 1     # x^3 = x cubed
         assert pf.von_mangoldt(P((0, 1, 1)), 3) == 0        # two primes
@@ -197,7 +206,8 @@ class TestPrimeTable:
 
     def test_canonical_order(self):
         table = pf.get_prime_table(3, 2)
-        codes = [pf.monic_code(f, 3) for f in table.irreducibles(2)]
+        quadratics = list(pf.monic_polys(2, 3))
+        codes = [quadratics.index(f) for f in table.irreducibles(2)]
         assert codes == sorted(codes)
         assert table.first_irreducible(2) == P((1, 0, 1))  # x^2 + 1
 
@@ -226,7 +236,8 @@ class TestPrimeTable:
     def test_monic_multiple_codes(self):
         # (x + 1) * (x^2 + b1 x + b0) over F_3, B in code order
         f = P((1, 1))
-        expected = [pf.monic_code(pf.poly_mul(f, B, 3), 3) for B in pf.monic_polys(2, 3)]
+        cubics = list(pf.monic_polys(3, 3))
+        expected = [cubics.index(pf.poly_mul(f, B, 3)) for B in pf.monic_polys(2, 3)]
         assert pf.monic_multiple_codes(f, 3, 3).tolist() == expected
         assert pf.monic_multiple_codes(f, 1, 3).tolist() == [1]
         with pytest.raises(ValueError):

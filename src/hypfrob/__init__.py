@@ -29,7 +29,7 @@ from .lfunction import (
     traces_from_lpoly,
 )
 from .linstat import TestFunction, mock_gaussian_reference, triangular, z_moments, z_statistic
-from .polyfield import ExtField, Factorization, PrimeTable, factorize, get_prime_table
+from .polyfield import Factorization, PrimeTable, factorize, get_prime_table
 from .rmt import gaussian_moment, usp_moment_exact, weyl_quadrature_moment
 
 __version__ = "0.1.0"

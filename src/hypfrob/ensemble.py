@@ -32,8 +32,8 @@ from .charsym import jacobi_symbol
 from .exact import HalfPowerRational
 from .lfunction import Curve, prime_symbols, symbol_power_sum
 from .polyfield import (
+    ResidueField,
     check_field,
-    codes_to_digits,
     degree,
     divisor_counts,
     get_prime_table,
@@ -43,7 +43,6 @@ from .polyfield import (
     monic_multiple_codes,
     monic_polys,
     monic_rows,
-    poly_mod,
     poly_mul,
 )
 
@@ -157,7 +156,8 @@ class TraceEngine:
     coefficient rows against the stacked reduction matrices (x^i mod P) of
     all degree-d primes P gives the digits of Q mod P, an int16 remainder
     reduces them, d-1 multiply-adds make a residue code, and one flat take
-    into the stacked character tables gives chi_Q(P).  Row sums give c_d,
+    into the stacked character tables gives chi_Q(P); both tables come
+    from each prime's `ResidueField`.  Row sums give c_d,
     the sum of chi_Q over the degree-d primes, and z_d, how many divide Q.
     The matmul is exact: its entries are integers of at most (2g+2)(q-1)^2,
     and construction refuses (q, g) where that reaches 2^24.  It also
@@ -182,10 +182,10 @@ class TraceEngine:
         # the first code of each prime's table
         self.stacks = []
         for d in range(1, g + 1):
-            primes = table.irreducibles(d)
-            red = np.hstack([_reduction_matrix(prime, 2 * g + 2, q) for prime in primes])
-            chars = np.concatenate([_char_table(prime, q) for prime in primes])
-            base = q ** d * np.arange(len(primes), dtype=np.min_scalar_type(-chars.size))
+            fields = [ResidueField(prime, q) for prime in table.irreducibles(d)]
+            red = np.hstack([field.rows(2 * g + 2) for field in fields])
+            chars = np.concatenate([field.chars for field in fields])
+            base = q ** d * np.arange(len(fields), dtype=np.min_scalar_type(-chars.size))
             self.stacks.append((d, red.astype(np.float32), chars, base))
 
     def coefficients(self, coeffs):
@@ -296,38 +296,6 @@ def divisor_degree_counts(q, g, N, coeffs):
     return z
 
 
-def _reduction_matrix(prime, n_rows, q):
-    """Rows x^i mod prime, i = 0..n_rows-1, as an (n_rows x deg) int64 matrix."""
-    d = len(prime) - 1
-    rows = np.zeros((n_rows, d), np.int64)
-    cur = (1,)
-    for i in range(n_rows):
-        rows[i, :len(cur)] = cur
-        cur = poly_mod((0,) + cur, prime, q)
-    return rows
-
-
-def _char_table(prime, q):
-    """Quadratic-character lookup for F_q[x]/(prime), indexed by residue code."""
-    d = len(prime) - 1
-    size = q ** d
-    digits = codes_to_digits(np.arange(size, dtype=np.int64), d, q).astype(np.int64)
-    sq = np.zeros((size, 2 * d - 1), np.int64)
-    for i in range(d):
-        for j in range(d):
-            sq[:, i + j] += digits[:, i] * digits[:, j]
-    red = _reduction_matrix(prime, 2 * d - 1, q)
-    resid = (sq @ red) % q
-    qpow = q ** np.arange(d, dtype=np.int64)
-    codes = resid @ qpow
-    tab = np.full(size, -1, np.int8)
-    tab[codes] = 1
-    tab[0] = 0
-    if int((tab == 1).sum()) != (size - 1) // 2:
-        raise ArithmeticError("square table has wrong cardinality; modulus not prime?")
-    return tab
-
-
 def _newton_matrix(A, N):
     """Vectorized Newton recursion: power sums of inverse roots per row."""
     n, width = A.shape
@@ -388,6 +356,8 @@ class EnsembleData:
         return Curve(q=self.q, g=self.g, Q=tuple(int(c) for c in self.coeffs[i]))
 
     def sliced(self, N):
+        if N < 0:
+            raise ValueError(f"cannot slice traces through N={N}")
         if N > self.N:
             raise ValueError(f"data holds traces through N={self.N}, need {N}")
         return EnsembleData(self.q, self.g, N, self.coeffs, self.s[:, :N])

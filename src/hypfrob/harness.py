@@ -82,6 +82,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown output format {self.fmt!r}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.N is not None and self.N < 0:
+            raise ConfigError(f"N must be >= 0, got {self.N}")
 
     def g_range(self):
         hi = self.g_max if self.g_max is not None else self.g
@@ -206,12 +208,13 @@ class _Tally:
                                   f"failed, first {self.failures[0]}")
 
 
-def _curve_checks(curve, row, A, symbols, N, explicit_N, point_N):
+def _curve_checks(curve, row, A, symbols, points, N, explicit_N):
     """The per-curve checks on one curve, as (check name, ok, failure detail).
 
-    `A` and `symbols` are the curve's rows of the batched Dirichlet and
-    prime-symbol passes of `verify_suite`; the symbols feed the explicit
-    traces, the prime-sum bound and the power decomposition.  A curve whose
+    `A`, `symbols` and `points` are the curve's rows of the batched
+    Dirichlet, prime-symbol and point-count passes of `verify_suite`; the
+    symbols feed the explicit traces, the prime-sum bound and the power
+    decomposition, and points[n-1] is the count over F_{q^n}.  A curve whose
     L-data or eigenphases cannot be formed fails that check and skips the
     checks that need them."""
     q, g = curve.q, curve.g
@@ -247,8 +250,8 @@ def _curve_checks(curve, row, A, symbols, N, explicit_N, point_N):
     n = next((n for n, d in zip(ns, splits)
               if d.prime_part + d.square_part + d.higher_part != -s[n - 1]), None)
     yield "power decomposition", n is None, f"decomposition identity fails at k={n}"
-    n = next((n for n in range(1, point_N + 1)
-              if point_count_direct(curve, n) != q ** n + 1 - s[n - 1]), None)
+    n = next((n for n, count in enumerate(points, start=1)
+              if count != q ** n + 1 - s[n - 1]), None)
     yield "point counts", n is None, f"point count mismatch at n={n}"
 
 
@@ -301,10 +304,11 @@ def verify_suite(q, g, cache_dir=None, budget=ens.DEFAULT_BUDGET, exhaustive=Non
         moduli = data.coeffs[sample[part]]
         A = dirichlet_coefficients(moduli, q, strategy=strategy)
         symbols = prime_symbols(moduli, q, explicit_N, table)
+        points = np.array([point_count_direct(moduli, q, n) for n in range(1, point_N + 1)])
         for j, i in enumerate(sample[part]):
             for name, ok, detail in _curve_checks(data.curve(i), data.s[i], A[j].tolist(),
-                                                  symbol_row(symbols, j), N, explicit_N,
-                                                  point_N):
+                                                  symbol_row(symbols, j), points[:, j].tolist(),
+                                                  N, explicit_N):
                 tallies[name].record(f"curve {i}", ok, detail)
     checks.extend(tally.entry() for tally in tallies.values())
 
@@ -623,6 +627,8 @@ def _cmd_rmt(config):
 
 def _cmd_linstat(config):
     tf = linstat.resolve_test_function(config.tf, config.custom_tf)
+    if config.moments < 1:  # refused before any ensemble is built or cached
+        raise ConfigError(f"m must be >= 1, got {config.moments}")
     reports, lines, paths = [], [], []
     for g in config.g_range():
         modes = linstat.active_modes(tf, 2 * g)
@@ -657,7 +663,7 @@ def _cmd_dump_cache(config):
         row.update({f"s{n}": int(v) for n, v in enumerate(s[i], start=1)})
         rows.append(row)
     path = _out_path(config, os.path.basename(config.path).rsplit(".", 1)[0])
-    write_report(path, rows, "csv" if config.fmt == "json" else config.fmt)
+    write_report(path, rows, config.fmt)
     lines = [f"trace cache q={q} g={g} N={N}: {len(rows)} records -> {path}"]
     return ExperimentResult(0, lines, [path])
 

@@ -1,13 +1,19 @@
-"""Per-curve exact L-data: Dirichlet coefficients, completed polynomial,
-Frobenius traces by two independent routes, eigenphases, point counts.
+"""Exact L-data of the curves y^2 = Q(x): Dirichlet coefficients, completed
+polynomial, Frobenius traces by two independent routes, eigenphases, point
+counts.
+
+The character sums and the point counts take one modulus or a stack of
+them: the sums run on the batched Jacobi kernel of `charsym`, the counts
+on one Horner pass over a `polyfield.ResidueField`.  The rest work one
+curve at a time.
 
 All character sums and coefficients are exact integers; floating point
 enters only in eigenphase extraction.  The scaled trace s_n equals the
 power sums of the inverse roots of the completed polynomial, so that
 s_n = q^(n/2) tr(Theta^n) and, by the explicit character-sum route,
 s_n = -(von Mangoldt weighted sum of chi_Q over monic f of degree n).
-The two routes are compared exactly in the tests, which pins the sign
-convention.
+The point count over F_{q^n} is q^n + 1 - s_n.  The routes are compared
+exactly in the tests, which pins the sign convention.
 """
 
 import cmath
@@ -308,13 +314,20 @@ def traces_from_eigenphases(theta, q, N):
     return out
 
 
-def point_count_direct(curve, n):
-    """Points over F_{q^n}: affine solutions of y^2 = Q(x) plus one at infinity."""
-    ext = pf.ext_field(curve.q, n)
-    total = 1
-    for x in ext.elements():
-        total += 1 + ext.quad_character(ext.evaluate_poly(curve.Q, x))
-    return total
+def point_count_direct(Q, q, n):
+    """Points of y^2 = Q(x) over F_{q^n}: one at infinity plus 1 + chi(Q(x))
+    for each x, with F_{q^n} the `ResidueField` of the first degree-n prime.
+
+    `Q` is one polynomial, a coefficient tuple, giving an int, or a stack of
+    polynomials of one degree, a 2-D array of coefficient rows (low degree
+    first), giving an int64 array.  One Horner pass evaluates every row at
+    every element, and the field's character table is read at the values.
+    """
+    stack, single = _as_stack(Q)
+    field = pf.ResidueField(get_prime_table(q, n).first_irreducible(n), q)
+    values = field.evaluate(stack, field.elements())
+    counts = 1 + field.size + field.chars[field.codes(values)].sum(axis=1, dtype=np.int64)
+    return int(counts[0]) if single else counts
 
 
 def point_count_from_traces(curve, s, n):

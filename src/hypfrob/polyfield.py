@@ -1,4 +1,4 @@
-"""Arithmetic in F_p[x] for an odd prime p, irreducible tables, extension fields.
+"""Arithmetic in F_p[x] for an odd prime p, irreducible tables, residue fields.
 
 Polynomials are tuples of ints in [0, p), lowest degree first, with no
 trailing zeros; the zero polynomial is the empty tuple ().  All routines
@@ -16,7 +16,6 @@ choice of extension moduli all follow this order.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -433,73 +432,75 @@ def von_mangoldt(f, p):
     return 0
 
 
-# -- extension fields --------------------------------------------------------
+# -- residue fields ------------------------------------------------------------
 
-class ExtField:
-    """F_{p^n} as F_p[x] modulo the first canonical irreducible of degree n.
+class ResidueField:
+    """F_q[x]/(P) for a monic prime P of degree d, on base-q digit rows.
 
-    Elements are reduced polynomial tuples of degree < n.
+    An element is a row of d digits in [0, q), lowest first; its residue
+    code is sum_i digit_i q^i, the order of `codes_to_digits`.  Arrays of
+    elements carry the digits on their last axis.  `chars` holds the
+    quadratic character by residue code.
     """
 
-    def __init__(self, p, n, modulus=None):
-        check_field(p)
-        if n < 1:
-            raise ValueError("extension degree must be >= 1")
-        self.p = p
-        self.n = n
-        if modulus is None:
-            modulus = get_prime_table(p, n).first_irreducible(n)
-        self.modulus = modulus
-        self.size = p ** n
+    def __init__(self, prime, q):
+        check_field(q)
+        if not is_monic(prime) or degree(prime) < 1:
+            raise ValueError("residue field needs a monic prime of degree >= 1")
+        self.q, self.prime, self.d = q, prime, degree(prime)
+        self.size = q ** self.d
+        # `mul` of two reduced rows sums d^2 terms of at most (q-1)^3 before `% q`
+        self.dtype = np.min_scalar_type(-self.d ** 2 * (q - 1) ** 3)
+        self._fold = self.rows(2 * self.d - 1).astype(self.dtype)
+        elements = self.elements()
+        chars = np.full(self.size, -1, np.int8)
+        chars[self.codes(self.mul(elements, elements))] = 1
+        chars[0] = 0
+        if np.count_nonzero(chars == 1) != (self.size - 1) // 2:
+            raise ArithmeticError("square table has wrong cardinality; modulus not prime?")
+        self.chars = chars
 
-    def embed(self, c):
-        return constant(c, self.p)
-
-    def element(self, code):
-        coeffs = []
-        for _ in range(self.n):
-            code, c = divmod(code, self.p)
-            coeffs.append(c)
-        return normalize(tuple(coeffs))
+    def rows(self, n):
+        """The rows x^i mod P, i = 0..n-1, as an (n, d) int64 matrix."""
+        tail = np.array(poly_neg(self.prime[:self.d], self.q), np.int64)  # x^d mod P
+        rows = np.zeros((n, self.d), np.int64)
+        rows[:1, 0] = 1
+        for i in range(1, n):
+            rows[i, 1:] = rows[i - 1, :-1]
+            rows[i] = (rows[i] + rows[i - 1, -1] * tail) % self.q
+        return rows
 
     def elements(self):
-        for code in range(self.size):
-            yield self.element(code)
+        """Every element, in residue-code order."""
+        return codes_to_digits(np.arange(self.size), self.d, self.q)
 
-    def add(self, a, b):
-        return poly_add(a, b, self.p)
+    def codes(self, a):
+        """The residue code of each digit row of `a`, int64."""
+        code = a[..., -1].astype(np.int64)
+        for i in range(self.d - 2, -1, -1):
+            code *= self.q
+            code += a[..., i]
+        return code
 
     def mul(self, a, b):
-        return poly_mod(poly_mul(a, b, self.p), self.modulus, self.p)
+        """Products of digit rows, broadcast over the leading axes: the digit
+        convolution sum_i a_i x^i b, each x^i b reduced through the rows
+        x^k mod P, so only arrays of b's size are reduced."""
+        a, b = np.asarray(a, self.dtype), np.asarray(b, self.dtype)
+        out = a[..., :1] * (b @ self._fold[:self.d])
+        for i in range(1, self.d):
+            out += a[..., i:i + 1] * (b @ self._fold[i:i + self.d])
+        out %= self.q
+        return out
 
-    def pow(self, a, e):
-        return poly_pow_mod(a, e, self.modulus, self.p)
-
-    def evaluate_poly(self, f, x):
-        """Evaluate a base-field polynomial at an extension element (Horner)."""
-        acc = ZERO
-        for c in reversed(f):
-            acc = poly_add(self.mul(acc, x), self.embed(c), self.p)
+    def evaluate(self, coeffs, x):
+        """Horner: each row of the (m, k) stack `coeffs` (F_q coefficients,
+        low degree first) at each row of the (n, d) elements `x`, as an
+        (m, n, d) array."""
+        columns = np.asarray(coeffs, self.dtype).T[:, :, None]
+        acc = np.zeros((columns.shape[1],) + x.shape, self.dtype)
+        acc[..., 0] = columns[-1]
+        for c in columns[-2::-1]:
+            acc = self.mul(acc, x)
+            acc[..., 0] = (acc[..., 0] + c) % self.q
         return acc
-
-    @cached_property
-    def _squares(self):
-        """The nonzero squares, from squaring every nonzero element once."""
-        squares = frozenset(self.mul(x, x) for x in self.elements() if x)
-        if len(squares) != (self.size - 1) // 2:
-            raise ArithmeticError("nonzero squares are not half the units; bad modulus?")
-        return squares
-
-    def quad_character(self, a):
-        """Quadratic character of the extension field: +-1, 0 at 0, read
-        from the table of squares."""
-        if not a:
-            return 0
-        return 1 if a in self._squares else -1
-
-
-@lru_cache(maxsize=None)
-def ext_field(p, n):
-    """Per-process memo of F_{p^n} over its canonical modulus, so that its
-    table of squares is built once."""
-    return ExtField(p, n)

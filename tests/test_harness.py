@@ -115,6 +115,18 @@ class TestExitCodes:
             assert code == 2
             assert "m must be >= 1" in capsys.readouterr().err
         assert not list(tmp_path.glob("linstat*"))
+        assert not (tmp_path / "cache").exists()  # refused before any ensemble is cached
+
+    def test_negative_trace_depth_is_a_config_error(self, tmp_path, capsys):
+        for command in (["lfun", "--g", "2"], ["primes"], ["moment", "--g", "1"]):
+            code = run_cli(command + ["--q", "3", "--N", "-1", "--cache-dir",
+                                      str(tmp_path / "cache"), "--out", str(tmp_path)])
+            assert code == 2
+            assert "N must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
+        assert not list(tmp_path.glob("lfun*"))
+        with pytest.raises(ValueError):
+            ens.compute_ensemble_data(3, 1, 4).sliced(-1)
 
     def test_newton_depth_beyond_int64_refused(self, tmp_path, capsys):
         code = run_cli(["moment", "--q", "13", "--g", "2", "--N", "31", "--spec", "(31,1)",
@@ -186,6 +198,20 @@ VERIFY_LINES = {
 [ok] point counts: direct == q^n + 1 - s_n (n <= 3), all curves
 [ok] dual averages: direct == Moebius-decomposed for 10 functionals
 [ok] divisor degrees: max total divisor degree 3 <= 2g+1 (and prime-sum inversion integral)""",
+    (7, 1): """\
+[ok] cardinality: 294 curves vs (q-1)q^(2g) = 294
+[ok] functional equation: exact coefficient symmetry, all curves
+[ok] riemann hypothesis: root magnitudes within 1e-9 of q^(-1/2), all curves
+[ok] dual trace paths: explicit sums == Newton power sums (n <= 4), all curves
+[ok] engine agreement: vectorized pipeline == per-curve path, all curves
+[ok] eigenphase pairing: 2g phases, closed under negation, all curves
+[ok] trace reconstruction: phases reproduce s_n to 1e-9 q^(n/2), all curves
+[ok] unitarity bound: |s_n| <= 2g q^(n/2), all curves
+[ok] prime-sum bound: |n c_n| <= (2g+2) q^(n/2), all curves
+[ok] power decomposition: prime+square+higher == -s_k, all curves
+[ok] point counts: direct == q^n + 1 - s_n (n <= 3), all curves
+[ok] dual averages: direct == Moebius-decomposed for 10 functionals
+[ok] divisor degrees: max total divisor degree 3 <= 2g+1 (and prime-sum inversion integral)""",
 }
 
 
@@ -230,6 +256,27 @@ def test_a_flipped_kernel_symbol_fails_the_dual_trace_paths(tmp_path, capsys, mo
     line = ("[FAIL] dual trace paths: explicit sums == Newton power sums (n <= 4), all curves; "
             "1 of 18 failed, first curve 5: explicit vs Newton mismatch")
     assert line in harness.verify_suite(3, 1).lines()
+    assert run_cli(["verify", "--q", "3", "--g", "1", "--cache-dir", str(tmp_path / "cache"),
+                    "--out", str(tmp_path)]) == 1
+    assert line in [ln.strip() for ln in capsys.readouterr().out.splitlines()]
+
+
+def test_a_flipped_character_fails_the_point_counts(tmp_path, capsys, monkeypatch):
+    # flip chi(1) in F_9: at q = 3, g = 1 only the point counts read a
+    # degree-2 character table (the engine's primes stop at degree g = 1)
+    init = pf.ResidueField.__init__
+
+    def flipped(field, prime, q):
+        init(field, prime, q)
+        if field.size == 9:
+            field.chars[np.flatnonzero(field.chars)[0]] *= -1
+
+    monkeypatch.setattr(pf.ResidueField, "__init__", flipped)
+    line = ("[FAIL] point counts: direct == q^n + 1 - s_n (n <= 3), all curves; "
+            "13 of 18 failed, first curve 0: point count mismatch at n=2")
+    lines = harness.verify_suite(3, 1).lines()
+    assert line in lines
+    assert [ln for ln in lines if ln.startswith("[FAIL]")] == [line]
     assert run_cli(["verify", "--q", "3", "--g", "1", "--cache-dir", str(tmp_path / "cache"),
                     "--out", str(tmp_path)]) == 1
     assert line in [ln.strip() for ln in capsys.readouterr().out.splitlines()]
@@ -311,6 +358,20 @@ class TestReports:
         with open(os.path.join(out, "traces_q3_g1_N4.csv")) as fh:
             rows = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
         assert len(rows) == 19  # header + 18 curves
+
+    def test_dump_cache_json_holds_the_csv_rows(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        harness.load_or_compute_data(3, 1, 4, cache_dir=cache)
+        path = cachemod.trace_cache_path(cache, 3, 1, 4)
+        out = str(tmp_path / "dumps")
+        assert run_cli(["dump-cache", "--path", path, "--out", out]) == 0
+        assert run_cli(["dump-cache", "--path", path, "--out", out, "--format", "json"]) == 0
+        with open(os.path.join(out, "traces_q3_g1_N4.csv")) as fh:
+            header, *rows = [ln.split(",") for ln in fh.read().splitlines()
+                             if ln and not ln.startswith("#")]
+        with open(os.path.join(out, "traces_q3_g1_N4.json")) as fh:
+            records = json.load(fh)
+        assert [{k: int(v) for k, v in zip(header, row)} for row in rows] == records
 
     def test_primes_dump(self, tmp_path, capsys):
         assert run_cli(["primes", "--q", "3", "--N", "3", "--dump",

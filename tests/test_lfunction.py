@@ -7,6 +7,7 @@ import pytest
 
 from hypfrob import lfunction as lf
 from hypfrob.charsym import jacobi_symbols
+from hypfrob.ensemble import compute_ensemble_data
 from hypfrob import polyfield as pf
 
 
@@ -174,13 +175,13 @@ class TestEigenphases:
 
 class TestPointCounts:
     def test_example_count(self):
-        assert lf.point_count_direct(EXAMPLE, 1) == 7
+        assert lf.point_count_direct(EXAMPLE.Q, 3, 1) == 7
 
     def test_hasse_window(self, data_g2):
         for i in range(0, data_g2.count, 13):
             curve = data_g2.curve(i)
             for n in (1, 2):
-                count = lf.point_count_direct(curve, n)
+                count = lf.point_count_direct(curve.Q, curve.q, n)
                 assert abs(count - 3 ** n - 1) <= 2 * curve.g * 3 ** (n / 2)
 
     def test_counts_match_traces(self, data_g1, data_q5g1):
@@ -189,8 +190,24 @@ class TestPointCounts:
                 curve = data.curve(i)
                 s = list(data.s[i])
                 for n in (1, 2, 3):
-                    direct = lf.point_count_direct(curve, n)
+                    direct = lf.point_count_direct(curve.Q, curve.q, n)
                     assert direct == lf.point_count_from_traces(curve, s, n)
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+    def test_batched_counts_match_traces_on_every_curve(self, q):
+        data = compute_ensemble_data(q, 1, 3)
+        for part in np.array_split(np.arange(data.count), max(1, data.count // 256)):
+            for n in (1, 2, 3):
+                counts = lf.point_count_direct(data.coeffs[part], q, n)
+                assert counts.dtype == np.int64
+                assert np.array_equal(counts, q ** n + 1 - data.s[part, n - 1])
+
+    def test_a_batch_of_one_is_a_row_of_the_stack(self, data_g2):
+        stack = lf.point_count_direct(data_g2.coeffs, 3, 2)
+        for i in range(0, data_g2.count, 11):
+            single = lf.point_count_direct(data_g2.curve(i).Q, 3, 2)
+            assert type(single) is int and single == stack[i]
+            assert lf.point_count_direct(data_g2.coeffs[i:i + 1], 3, 2).tolist() == [single]
 
 
 class TestWeilDiagnostic:

@@ -280,39 +280,71 @@ class TestProperties:
         assert pf.is_squarefree(f, q) == by_fact
 
 
-class TestExtField:
-    def test_degenerate_extension(self):
-        ext = pf.ExtField(3, 1)
-        assert ext.modulus == P((0, 1))  # modulus x: evaluation == base field
+def residue_field(q, n):
+    return pf.ResidueField(pf.get_prime_table(q, n).first_irreducible(n), q)
+
+
+class TestResidueField:
+    def test_degenerate_field_evaluates_like_the_base_field(self):
+        field = residue_field(3, 1)
+        assert field.prime == P((0, 1))  # modulus x: evaluation == base field
         f = P((1, 2, 0, 1))
-        for a in range(3):
-            assert ext.evaluate_poly(f, ext.embed(a)) == pf.constant(pf.poly_eval(f, a, 3), 3)
+        values = field.evaluate([f], field.elements())[0]
+        assert values[:, 0].tolist() == [pf.poly_eval(f, a, 3) for a in range(3)]
 
-    def test_multiplicative_group_order_f9(self):
-        ext = pf.ExtField(3, 2)
-        for z in ext.elements():
-            if z:
-                assert ext.pow(z, 8) == pf.ONE
+    @pytest.mark.parametrize("q,n", [(3, 2), (5, 2), (3, 3)])
+    def test_multiplicative_group_order(self, q, n):
+        field = residue_field(q, n)
+        z = field.elements()[1:]
+        power = z
+        for _ in range(q ** n - 2):
+            power = field.mul(power, z)
+        assert field.codes(power).tolist() == [1] * len(z)  # z^(q^n-1) = 1
 
-    def test_horner_matches_power_evaluation(self):
-        ext = pf.ExtField(3, 2)
-        f = P((1, 2, 0, 1))
-        for z in ext.elements():
-            direct = ext.embed(0)
-            for i, c in enumerate(f):
-                direct = ext.add(direct, ext.mul(ext.embed(c), ext.pow(z, i)))
-            assert ext.evaluate_poly(f, z) == direct
+    @pytest.mark.parametrize("q,n", [(3, 2), (5, 3), (13, 2)])
+    def test_horner_matches_power_evaluation(self, q, n):
+        field = residue_field(q, n)
+        rng = random.Random(q * n)
+        fs = [[rng.randrange(q) for _ in range(5)] + [1] for _ in range(4)]
+        z = field.elements()
+        for f, values in zip(fs, field.evaluate(fs, z)):
+            direct, power = np.zeros(z.shape, np.int64), np.zeros(z.shape, np.int64)
+            power[:, 0] = 1
+            for c in f:
+                direct = (direct + c * power) % q
+                power = field.mul(power, z)
+            assert np.array_equal(values, direct)
 
-    def test_quad_character_counts(self):
+    @pytest.mark.parametrize("q,d", [(3, 1), (3, 4), (5, 3), (11, 2)])
+    def test_mul_and_rows_match_polynomial_arithmetic(self, q, d):
+        table = pf.get_prime_table(q, d)
+        rng = random.Random(q + d)
+        for prime in rng.sample(table.irreducibles(d), min(3, table.counts[d])):
+            field = pf.ResidueField(prime, q)
+            x_powers = [pf.poly_mod((0,) * i + (1,), prime, q) for i in range(2 * d + 2)]
+            assert [pf.normalize(tuple(row)) for row in field.rows(2 * d + 2).tolist()] \
+                == x_powers
+            codes = rng.sample(range(field.size), min(20, field.size))
+            a = pf.codes_to_digits(np.array(codes), d, q)
+            b = a[::-1]
+            for f, g, prod in zip(a.tolist(), b.tolist(), field.mul(a, b).tolist()):
+                expected = pf.poly_mod(np_mul(pf.normalize(tuple(f)), pf.normalize(tuple(g)), q),
+                                       prime, q)
+                assert pf.normalize(tuple(prod)) == expected
+            assert field.codes(a).tolist() == codes
+
+    def test_character_counts(self):
         for n in (1, 2, 3):
-            ext = pf.ExtField(3, n)
-            values = [ext.quad_character(z) for z in ext.elements()]
+            values = residue_field(3, n).chars.tolist()
             assert values.count(0) == 1
             assert values.count(1) == (3 ** n - 1) // 2
             assert values.count(-1) == (3 ** n - 1) // 2
 
-    def test_quad_character_base_matches_legendre(self):
+    def test_characters_at_degree_one_match_legendre(self):
         from hypfrob.charsym import legendre
-        ext = pf.ExtField(5, 1)
-        for a in range(5):
-            assert ext.quad_character(ext.embed(a)) == legendre(a, 5)
+        for q in FIELDS:
+            assert residue_field(q, 1).chars.tolist() == [legendre(a, q) for a in range(q)]
+
+    def test_composite_modulus_refused(self):
+        with pytest.raises(ArithmeticError, match="square table"):
+            pf.ResidueField(pf.poly_mul(P((1, 1)), P((2, 1)), 3), 3)

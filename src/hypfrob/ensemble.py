@@ -17,7 +17,11 @@ Traces take one route, `TraceEngine`: the explicit formula gives s_1..s_g
 from chi_Q at the primes of degree <= g, inverse Newton the coefficients
 A_1..A_g, the functional equation A_{g+1..2g}, and Newton's identities
 s_1..s_N.  Rows go through it in fixed chunks of CHUNK_ROWS in the calling
-thread, so results are bit-identical for any worker count.
+thread, so results are bit-identical for any worker count.  The bulk path
+runs it on one representative per translation orbit Q(x) ~ Q(x+t) only
+and copies the representative's traces to every curve of the orbit:
+x -> x+t permutes the monic primes of each degree and keeps chi_Q, so
+the traces are orbit invariants (`translation_orbits`).
 """
 
 import itertools
@@ -35,6 +39,7 @@ from .polyfield import (
     ResidueField,
     check_field,
     degree,
+    digit_codes,
     divisor_counts,
     get_prime_table,
     irreducible_count,
@@ -44,6 +49,7 @@ from .polyfield import (
     monic_polys,
     monic_rows,
     poly_mul,
+    translates,
 )
 
 DEFAULT_BUDGET = 2_000_000
@@ -366,12 +372,61 @@ class EnsembleData:
 def compute_ensemble_data(q, g, N, *, budget=DEFAULT_BUDGET):
     """Traces s_1..s_N for every curve of the ensemble, in enumeration order.
 
+    `TraceEngine` runs only on one representative of each translation orbit
+    (see `translation_orbits`); every curve takes its representative's row
+    of traces, so `s` is bit-identical to an engine pass over all curves.
+    Orbit sizes that fail `check_orbit_sizes` raise ArithmeticError.
     The chunks run in the calling thread: a thread pool lost to one thread
     at every measured point, as BLAS already threads the matmul.
     """
-    coeffs = monic_rows(squarefree_codes(q, g, budget), 2 * g + 1, q)
-    s = TraceEngine(q, g, N).traces(coeffs)
+    D = 2 * g + 1
+    coeffs = monic_rows(squarefree_codes(q, g, budget), D, q)
+    engine = TraceEngine(q, g, N)
+    reps, orbit = translation_orbits(q, g, coeffs)
+    s = engine.traces(monic_rows(reps, D, q))[orbit]
     return EnsembleData(q=q, g=g, N=N, coeffs=coeffs, s=s)
+
+
+def translation_orbits(q, g, coeffs):
+    """The orbits of the curve rows `coeffs` under Q(x) -> Q(x+t), t in F_q.
+
+    Returns the ascending codes of one representative per orbit and, for
+    each row, the index of its orbit.  x -> x+t maps the monic primes of
+    each degree onto themselves with (Q(x+t) / P(x+t)) = (Q / P), so every
+    curve of an orbit has the same c_d, z_d and s_n.  The representative is
+    the translate with a_{2g} = 0, at t = -a_{2g} / (2g+1), when q does not
+    divide 2g+1, else the least code among the q translates.  The
+    translates exist one chunk at a time; only their codes are kept.
+    """
+    D = 2 * g + 1
+
+    def representative_codes(rows):
+        if D % q:
+            shift = -pow(D, -1, q) * rows[:, D - 1].astype(np.int64) % q
+            return digit_codes(translates(rows, q, shift)[:, :D], q)
+        return digit_codes(translates(rows, q)[:, :, :D], q).min(axis=1)
+
+    reps, orbit, sizes = np.unique(_map_chunks(representative_codes, coeffs),
+                                   return_inverse=True, return_counts=True)
+    check_orbit_sizes(q, g, sizes)
+    return reps, orbit
+
+
+def check_orbit_sizes(q, g, sizes):
+    """Raise ArithmeticError unless the translation orbit sizes are each 1
+    or q, each q when q does not divide 2g+1, and sum to (q-1) q^(2g).
+
+    An orbit has q elements or one, as q is prime.  When q does not divide
+    2g+1, the x^(2g) coefficient a_{2g} + (2g+1) t of Q(x+t) takes q
+    values, so no curve is fixed; when q divides 2g+1, the polynomials in
+    x^q - x are fixed.
+    """
+    allowed = [q] if (2 * g + 1) % q else [1, q]
+    total = EnsembleSpec(q, g).count
+    if not np.isin(sizes, allowed).all() or int(sizes.sum()) != total:
+        raise ArithmeticError(
+            f"translation orbit sizes at q={q}, g={g} are not all in {allowed} "
+            f"with sum {total}")
 
 
 # -- exact ensemble averages ---------------------------------------------------

@@ -84,6 +84,8 @@ class ExperimentConfig:
             raise ConfigError("workers must be >= 1")
         if self.N is not None and self.N < 0:
             raise ConfigError(f"N must be >= 0, got {self.N}")
+        if any(d < 1 for d in self.degrees):
+            raise ConfigError("degrees must be >= 1")
 
     def g_range(self):
         hi = self.g_max if self.g_max is not None else self.g

@@ -28,6 +28,7 @@ from .charsym import jacobi_symbols
 from .polyfield import degree, get_prime_table, is_monic, is_squarefree
 
 ROOT_MAGNITUDE_TOL = 1e-9
+SQUAREFREE_TEST_PRIME = 2 ** 61 - 1
 
 
 class FunctionalEquationError(ArithmeticError):
@@ -265,6 +266,29 @@ def squarefree_factors(coeffs):
     return out
 
 
+def _squarefree_mod(coeffs, p):
+    """Whether the integer polynomial f keeps its degree mod the prime p, as
+    does f', and gcd(f, f') = 1 mod p.  Then f is squarefree over Q: a
+    repeated factor h^2 | f, h primitive, would keep its degree mod p and
+    make h | gcd(f, f') mod p."""
+    f = [c % p for c in coeffs]
+    df = [i * c % p for i, c in enumerate(coeffs)][1:]
+    if not f[-1] or not df[-1]:
+        return False
+    while df:
+        inv = pow(df[-1], -1, p)
+        while len(f) >= len(df):
+            c = f[-1] * inv % p
+            k = len(f) - len(df)
+            for j, b in enumerate(df):
+                f[k + j] = (f[k + j] - c * b) % p
+            f.pop()
+            while f and not f[-1]:
+                f.pop()
+        f, df = df, f
+    return len(f) == 1
+
+
 def _polished_roots(coeffs):
     """Companion-matrix roots of a simple-root polynomial, Newton refined."""
     cf = np.array([float(c) for c in coeffs])
@@ -284,12 +308,19 @@ def eigenphases(ldata, q):
 
     Repeated factors are split off exactly first (multiple roots would cost
     the companion matrix half its digits), then each simple root is Newton
-    polished.  Root magnitudes must sit on the critical circle within
-    ROOT_MAGNITUDE_TOL; violations abort rather than clamp.
+    polished.  The exact split is skipped when gcd(Astar, Astar') is 1 mod
+    SQUAREFREE_TEST_PRIME, which divides neither the leading coefficient
+    q^g nor 2g, as Astar is then squarefree over Q.  Root magnitudes must
+    sit on the critical circle within ROOT_MAGNITUDE_TOL; violations abort
+    rather than clamp.
     """
     target = q ** -0.5
     thetas = []
-    for factor, mult in squarefree_factors(ldata.Astar):
+    if _squarefree_mod(ldata.Astar, SQUAREFREE_TEST_PRIME):
+        factors = [(ldata.Astar, 1)]
+    else:
+        factors = squarefree_factors(ldata.Astar)
+    for factor, mult in factors:
         for u in _polished_roots(factor):
             if abs(abs(u) - target) > ROOT_MAGNITUDE_TOL:
                 raise RootMagnitudeError(

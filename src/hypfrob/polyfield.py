@@ -15,6 +15,7 @@ over the non-leading coefficients.  Enumeration, prime tables and the
 choice of extension moduli all follow this order.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,13 +104,6 @@ def poly_mul(f, g, p):
             for j, b in enumerate(g):
                 out[i + j] += a * b
     return tuple(c % p for c in out)
-
-
-def scalar_mul(c, f, p):
-    c %= p
-    if c == 0:
-        return ZERO
-    return tuple((c * a) % p for a in f)
 
 
 def poly_divmod(f, g, p):
@@ -212,6 +206,39 @@ def monic_rows(codes, d, p):
     rows = np.ones((len(codes), d + 1), np.min_scalar_type(p - 1))
     rows[:, :d] = codes_to_digits(codes, d, p)
     return rows
+
+
+def translates(rows, p, t=None):
+    """Digit rows of the translates f(x+t) of the coefficient rows f (lowest
+    first) of the (n, k) array `rows`: for each row its own shift t[i], an
+    (n, k) array, when `t` is given; else every t = 0..p-1, (n, p, k).
+
+    f(x+t) has coefficients sum_i f_i C(i, j) t^(i-j) mod p: one float32
+    matmul against the k x pk stack of those binomial matrices.  It is exact
+    because its entries are integers of at most k (p-1)^2; row lengths where
+    that reaches 2^24 are refused.
+    """
+    n, k = rows.shape
+    if k * (p - 1) ** 2 >= 2 ** 24:
+        raise ValueError(f"translate products reach k(p-1)^2 >= 2^24 at p={p}, k={k}")
+    binomials = np.array([[[math.comb(i, j) * v ** (i - j) % p if j <= i else 0
+                            for j in range(k)] for v in range(p)] for i in range(k)],
+                         np.float32).reshape(k, p * k)
+    out = (rows.astype(np.float32) @ binomials).reshape(n, p, k)
+    if t is not None:
+        out = out[np.arange(n), t]
+    out = out.astype(np.int32)
+    out -= p * (out // p)  # remainder; `//` by a scalar is the fast ufunc
+    return out
+
+
+def digit_codes(digits, p):
+    """The code sum_i digits[..., i] p^i of each digit row, int64."""
+    code = digits[..., -1].astype(np.int64)
+    for i in range(digits.shape[-1] - 2, -1, -1):
+        code *= p
+        code += digits[..., i]
+    return code
 
 
 def monic_multiple_codes(f, D, p):
@@ -476,11 +503,7 @@ class ResidueField:
 
     def codes(self, a):
         """The residue code of each digit row of `a`, int64."""
-        code = a[..., -1].astype(np.int64)
-        for i in range(self.d - 2, -1, -1):
-            code *= self.q
-            code += a[..., i]
-        return code
+        return digit_codes(a, self.q)
 
     def mul(self, a, b):
         """Products of digit rows, broadcast over the leading axes: the digit

@@ -153,7 +153,7 @@ def test_criterion_4_dual_path_identities():
     # Euclidean vs factorization-product Jacobi symbols
     table = pf.get_prime_table(3, 4)
     denoms = [f for d in range(1, 5) for f in pf.monic_polys(d, 3)]
-    numers = [()] + [pf.scalar_mul(u, f, 3) for d in range(0, 4)
+    numers = [()] + [tuple(u * c % 3 for c in f) for d in range(0, 4)
                      for f in pf.monic_polys(d, 3) for u in (1, 2)]
     for A in denoms:
         for B in numers:

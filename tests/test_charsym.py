@@ -18,7 +18,7 @@ def all_polys_up_to(deg, p):
     for d in range(0, deg + 1):
         for lead in range(1, p):
             for f in pf.monic_polys(d, p):
-                out.append(pf.scalar_mul(lead, f, p))
+                out.append(tuple(lead * c % p for c in f))
     return out
 
 
@@ -141,7 +141,7 @@ class TestJacobiKernel:
         # monic A of degree 1..4 against B = 0 or a unit times a monic of
         # degree 0..3, as one broadcast grid
         denoms = [f for d in range(1, 5) for f in pf.monic_polys(d, 3)]
-        numers = [()] + [pf.scalar_mul(u, f, 3) for d in range(4)
+        numers = [()] + [tuple(u * c % 3 for c in f) for d in range(4)
                          for f in pf.monic_polys(d, 3) for u in (1, 2)]
         got = cs.jacobi_symbols(padded(numers, 4)[:, None], padded(denoms, 5)[None], 3)
         assert got.dtype == np.int8

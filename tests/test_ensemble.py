@@ -12,6 +12,7 @@ from hypfrob import ensemble as ens
 from hypfrob import lfunction as lf
 from hypfrob import polyfield as pf
 from hypfrob.charsym import jacobi_symbol, legendre
+from hypfrob.cli import main
 
 
 class TestEnumeration:
@@ -216,6 +217,64 @@ class TestEngine:
         with pytest.raises(ValueError, match="2\\^63"):
             ens.prime_symbol_sums(13, 2, np.zeros((1, 31), np.int64),
                                   np.zeros((1, 32), np.int16))
+
+
+class TestTranslationOrbits:
+    @pytest.mark.parametrize("q,g", [(3, 2), (3, 3), (5, 1), (5, 3), (7, 2), (11, 2), (13, 2),
+                                     (3, 1), (3, 4), (5, 2), (7, 3)])
+    def test_orbit_route_equals_a_full_engine_pass(self, q, g):
+        # the first seven have q prime to 2g+1, the last four q | 2g+1
+        N = 2 * g + 2
+        data = ens.compute_ensemble_data(q, g, N)
+        full = ens.TraceEngine(q, g, N).traces(data.coeffs)
+        assert data.s.dtype == full.dtype and np.array_equal(data.s, full)
+        codes = ens.squarefree_codes(q, g)
+        reps, orbit = ens.translation_orbits(q, g, data.coeffs)
+        rows_of_reps = np.searchsorted(codes, reps)
+        assert np.array_equal(codes[rows_of_reps], reps)  # curves of the ensemble
+        assert np.array_equal(orbit[rows_of_reps], np.arange(len(reps)))  # each in its orbit
+        fixed = np.count_nonzero(np.bincount(orbit) == 1)
+        assert (fixed > 0) == ((2 * g + 1) % q == 0)
+
+    @pytest.mark.parametrize("q,g", [(3, 2), (3, 1)])
+    def test_corrupted_orbit_sizes_are_refused(self, q, g):
+        coeffs = pf.monic_rows(ens.squarefree_codes(q, g), 2 * g + 1, q)
+        sizes = np.bincount(ens.translation_orbits(q, g, coeffs)[1])
+        ens.check_orbit_sizes(q, g, sizes)
+        short = sizes.copy()
+        short[0] -= 1
+        for bad in (short, np.append(sizes, 1)):
+            with pytest.raises(ArithmeticError, match="orbit sizes"):
+                ens.check_orbit_sizes(q, g, bad)
+        # q fixed curves in place of one orbit keep the total
+        split = np.append(sizes[1:], [1] * q)
+        if (2 * g + 1) % q:
+            with pytest.raises(ArithmeticError, match="orbit sizes"):
+                ens.check_orbit_sizes(q, g, split)
+        else:
+            ens.check_orbit_sizes(q, g, split)
+
+    def test_untranslated_rows_trip_the_invariant(self, monkeypatch):
+        # every row its own representative: orbits of one curve at (3, 2)
+        monkeypatch.setattr(ens, "translates", lambda rows, p, t=None: rows.astype(np.int32))
+        with pytest.raises(ArithmeticError, match="orbit sizes"):
+            ens.compute_ensemble_data(3, 2, 6)
+
+    def test_verify_fails_every_curve_of_a_flipped_representative(self, tmp_path,
+                                                                   monkeypatch, capsys):
+        traces = ens.TraceEngine.traces
+
+        def flipped(engine, coeffs):
+            s = traces(engine, coeffs)
+            s[0] = -s[0] - 1  # differs from s[0] in every entry
+            return s
+
+        monkeypatch.setattr(ens.TraceEngine, "traces", flipped)
+        code = main(["verify", "--q", "3", "--g", "2", "--cache-dir", str(tmp_path)])
+        assert code == 1
+        line, = [ln for ln in capsys.readouterr().out.splitlines() if "engine agreement" in ln]
+        assert line.startswith("  [FAIL] engine agreement: vectorized pipeline")
+        assert "; 3 of 162 failed, first curve" in line
 
 
 def _tabulate(func, g, q=3):

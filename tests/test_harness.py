@@ -102,6 +102,13 @@ class TestExitCodes:
             assert run_cli(args + ["--out", str(tmp_path)]) == 2
             assert "config error: invalid literal for int()" in capsys.readouterr().err
 
+    def test_degrees_below_one_are_config_errors(self, tmp_path, capsys):
+        for degrees in ("0", "1,-2"):
+            assert run_cli(["sigma", "--q", "3", "--degrees", degrees,
+                            "--out", str(tmp_path)]) == 2
+            assert "config error: degrees must be >= 1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("sigma*"))
+
     def test_negative_l_is_a_config_error(self, tmp_path, capsys):
         code = run_cli(["decompose", "--q", "3", "--g", "1", "--l", "-1",
                         "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path)])

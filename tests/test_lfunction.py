@@ -147,6 +147,20 @@ class TestEigenphases:
         assert all(-math.pi < t <= math.pi for t in theta)
         assert sorted(_reflect_phase(t) for t in theta) == pytest.approx(theta, abs=1e-12)
 
+    def test_modular_squarefree_test_agrees_with_yun(self, data_g2, data_q5g1, monkeypatch):
+        # every L-polynomial at (3, 2) and (5, 1), all squarefree, and the
+        # square (1 - 5u^2)^2 of x^5 + 4x over F_5; the phases do not depend
+        # on which route decided squarefreeness
+        polys = [(tuple(row), data.q) for data in (data_g2, data_q5g1)
+                 for row in lf.dirichlet_coefficients(data.coeffs, data.q).tolist()]
+        polys.append(((1, 0, -10, 0, 25), 5))
+        fast = [lf._squarefree_mod(A, lf.SQUAREFREE_TEST_PRIME) for A, _q in polys]
+        assert fast == [lf.squarefree_factors(A) == [(list(A), 1)] for A, _q in polys]
+        assert fast.count(False) == 1
+        phases = [lf.eigenphases(lf.LData(A=A, Astar=A), q) for A, q in polys]
+        monkeypatch.setattr(lf, "_squarefree_mod", lambda *_args: False)
+        assert phases == [lf.eigenphases(lf.LData(A=A, Astar=A), q) for A, q in polys]
+
     def test_phases_in_half_open_range(self, data_g2, data_q5g1):
         for data in (data_g2, data_q5g1):
             for i in range(data.count):

@@ -231,7 +231,7 @@ class TestPrimeTable:
             primes = set(oracle[d])
             for f in pf.monic_polys(d, 3):
                 assert table.is_irreducible(f) == (f in primes)
-                assert table.is_irreducible(pf.scalar_mul(2, f, 3)) == (f in primes)
+                assert table.is_irreducible(tuple(2 * c % 3 for c in f)) == (f in primes)
 
     def test_monic_multiple_codes(self):
         # (x + 1) * (x^2 + b1 x + b0) over F_3, B in code order
@@ -242,6 +242,31 @@ class TestPrimeTable:
         assert pf.monic_multiple_codes(f, 1, 3).tolist() == [1]
         with pytest.raises(ValueError):
             pf.monic_multiple_codes(P((1, 2)), 3, 3)
+
+
+class TestTranslates:
+    @pytest.mark.parametrize("q,d", [(3, 4), (5, 3), (7, 2), (13, 2)])
+    def test_translates_match_composition(self, q, d):
+        rows = pf.monic_rows(np.arange(q ** d), d, q)
+        every = pf.translates(rows, q)
+        for code in range(0, q ** d, max(1, q ** d // 60)):
+            f = tuple(rows[code].tolist())
+            for t in range(q):
+                shifted = ()  # f(x + t) by Horner in F_q[x]
+                for c in reversed(f):
+                    shifted = pf.poly_add(pf.poly_mul(shifted, (t, 1), q), (c,), q)
+                assert tuple(every[code, t].tolist()) == shifted
+        shift = np.arange(q ** d) % q
+        assert np.array_equal(pf.translates(rows, q, shift), every[np.arange(q ** d), shift])
+
+    def test_translate_bound_refused(self):
+        # k (p-1)^2 >= 2^24 would pass float32's exact integers
+        with pytest.raises(ValueError, match="2\\^24"):
+            pf.translates(np.ones((1, 4), np.uint16), 2053)
+
+    def test_digit_codes_invert_codes_to_digits(self):
+        codes = np.arange(5 ** 4)
+        assert np.array_equal(pf.digit_codes(pf.codes_to_digits(codes, 4, 5), 5), codes)
 
 
 class TestProperties:

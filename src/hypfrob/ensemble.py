@@ -394,16 +394,13 @@ def translation_orbits(q, g, coeffs):
     each row, the index of its orbit.  x -> x+t maps the monic primes of
     each degree onto themselves with (Q(x+t) / P(x+t)) = (Q / P), so every
     curve of an orbit has the same c_d, z_d and s_n.  The representative is
-    the translate with a_{2g} = 0, at t = -a_{2g} / (2g+1), when q does not
-    divide 2g+1, else the least code among the q translates.  The
-    translates exist one chunk at a time; only their codes are kept.
+    the least code among the q translates, an orbit invariant for every
+    (q, g).  The translates exist one chunk at a time; only their codes are
+    kept.
     """
     D = 2 * g + 1
 
     def representative_codes(rows):
-        if D % q:
-            shift = -pow(D, -1, q) * rows[:, D - 1].astype(np.int64) % q
-            return digit_codes(translates(rows, q, shift)[:, :D], q)
         return digit_codes(translates(rows, q)[:, :, :D], q).min(axis=1)
 
     reps, orbit, sizes = np.unique(_map_chunks(representative_codes, coeffs),

@@ -267,26 +267,12 @@ def squarefree_factors(coeffs):
 
 
 def _squarefree_mod(coeffs, p):
-    """Whether the integer polynomial f keeps its degree mod the prime p, as
-    does f', and gcd(f, f') = 1 mod p.  Then f is squarefree over Q: a
-    repeated factor h^2 | f, h primitive, would keep its degree mod p and
-    make h | gcd(f, f') mod p."""
-    f = [c % p for c in coeffs]
-    df = [i * c % p for i, c in enumerate(coeffs)][1:]
-    if not f[-1] or not df[-1]:
-        return False
-    while df:
-        inv = pow(df[-1], -1, p)
-        while len(f) >= len(df):
-            c = f[-1] * inv % p
-            k = len(f) - len(df)
-            for j, b in enumerate(df):
-                f[k + j] = (f[k + j] - c * b) % p
-            f.pop()
-            while f and not f[-1]:
-                f.pop()
-        f, df = df, f
-    return len(f) == 1
+    """Whether the integer polynomial f keeps its degree mod the prime p and
+    is squarefree there.  Then f is squarefree over Q: a repeated factor
+    h^2 | f, h primitive, would keep its degree mod p and make h divide
+    gcd(f, f') mod p."""
+    f = pf.poly(coeffs, p)
+    return len(f) == len(coeffs) and is_squarefree(f, p)
 
 
 def _polished_roots(coeffs):

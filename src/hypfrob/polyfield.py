@@ -15,6 +15,7 @@ over the non-leading coefficients.  Enumeration, prime tables and the
 choice of extension moduli all follow this order.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,7 +113,7 @@ def poly_divmod(f, g, p):
         raise ZeroDivisionError("polynomial division by zero")
     if len(f) < len(g):
         return ZERO, f
-    inv_lead = pow(g[-1], p - 2, p)
+    inv_lead = pow(g[-1], -1, p)
     rem = list(f)
     dq = len(f) - len(g)
     quo = [0] * (dq + 1)
@@ -136,7 +137,7 @@ def make_monic(f, p):
     u = f[-1]
     if u == 1:
         return f, 1
-    inv = pow(u, p - 2, p)
+    inv = pow(u, -1, p)
     return tuple((c * inv) % p for c in f), u
 
 
@@ -208,28 +209,32 @@ def monic_rows(codes, d, p):
     return rows
 
 
-def translates(rows, p, t=None):
-    """Digit rows of the translates f(x+t) of the coefficient rows f (lowest
-    first) of the (n, k) array `rows`: for each row its own shift t[i], an
-    (n, k) array, when `t` is given; else every t = 0..p-1, (n, p, k).
+def translates(rows, p):
+    """Digit rows f(x+t), t = 0..p-1, of the coefficient rows f (lowest
+    first) of the (n, k) array `rows`: an (n, p, k) array of the smallest
+    unsigned dtype that holds the matmul entries.
 
     f(x+t) has coefficients sum_i f_i C(i, j) t^(i-j) mod p: one float32
-    matmul against the k x pk stack of those binomial matrices.  It is exact
-    because its entries are integers of at most k (p-1)^2; row lengths where
-    that reaches 2^24 are refused.
+    matmul against `_translate_matrix`.  It is exact because its entries
+    are integers of at most k (p-1)^2; row lengths where that reaches 2^24
+    are refused.
     """
     n, k = rows.shape
     if k * (p - 1) ** 2 >= 2 ** 24:
         raise ValueError(f"translate products reach k(p-1)^2 >= 2^24 at p={p}, k={k}")
-    binomials = np.array([[[math.comb(i, j) * v ** (i - j) % p if j <= i else 0
-                            for j in range(k)] for v in range(p)] for i in range(k)],
-                         np.float32).reshape(k, p * k)
-    out = (rows.astype(np.float32) @ binomials).reshape(n, p, k)
-    if t is not None:
-        out = out[np.arange(n), t]
-    out = out.astype(np.int32)
+    out = (rows.astype(np.float32) @ _translate_matrix(p, k)).reshape(n, p, k)
+    out = out.astype(np.min_scalar_type(k * (p - 1) ** 2))
     out -= p * (out // p)  # remainder; `//` by a scalar is the fast ufunc
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _translate_matrix(p, k):
+    """The k x pk stack of the binomial matrices C(i, j) t^(i-j) mod p of
+    x^i -> (x+t)^i, t = 0..p-1, as float32."""
+    return np.array([[[math.comb(i, j) * t ** (i - j) % p if j <= i else 0
+                       for j in range(k)] for t in range(p)] for i in range(k)],
+                    np.float32).reshape(k, p * k)
 
 
 def digit_codes(digits, p):

@@ -256,7 +256,7 @@ class TestTranslationOrbits:
 
     def test_untranslated_rows_trip_the_invariant(self, monkeypatch):
         # every row its own representative: orbits of one curve at (3, 2)
-        monkeypatch.setattr(ens, "translates", lambda rows, p, t=None: rows.astype(np.int32))
+        monkeypatch.setattr(ens, "translates", lambda rows, p: rows[:, None].astype(np.int32))
         with pytest.raises(ArithmeticError, match="orbit sizes"):
             ens.compute_ensemble_data(3, 2, 6)
 

@@ -26,12 +26,15 @@ class CacheFormatError(RuntimeError):
     pass
 
 
-def _atomic_write(path, payload):
+def _atomic_write(path, *chunks):
+    """Writes each chunk (bytes or a C-contiguous array, through its buffer)
+    in turn to a temp file, then renames it onto `path`."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-cache-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -45,36 +48,42 @@ def trace_cache_path(cache_dir, q, g, N):
     return os.path.join(cache_dir, f"traces_q{q}_g{g}_N{N}.bin")
 
 
+def _record_dtype(g, N):
+    return np.dtype([("Q", np.uint8, (2 * g + 2,)), ("s", "<i8", (N,))])
+
+
 def write_trace_cache(path, data):
-    n, width = data.coeffs.shape
-    header = HEADER.pack(TR_MAGIC, VERSION, data.q, data.g, data.N, n)
-    dtype = np.dtype([("Q", np.uint8, (width,)), ("s", "<i8", (data.N,))])
-    records = np.empty(n, dtype)
+    n = len(data.coeffs)
+    records = np.empty(n, _record_dtype(data.g, data.N))
     records["Q"] = data.coeffs
     records["s"] = data.s
-    _atomic_write(path, header + records.tobytes())
+    _atomic_write(path, HEADER.pack(TR_MAGIC, VERSION, data.q, data.g, data.N, n), records)
 
 
 def read_trace_cache(path):
-    """Returns (q, g, N, coeffs, s); raises CacheFormatError on mismatch."""
+    """Returns (q, g, N, coeffs, s); raises CacheFormatError on mismatch.
+
+    `coeffs` is a C-contiguous uint8 array, `s` an int64 one.  The record
+    section is read once, straight into the record array, after its size
+    has been checked against the file's."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < HEADER.size:
-        raise CacheFormatError(f"{path}: {len(blob)} bytes, shorter than the header")
-    magic, version, q, g, N, count = HEADER.unpack_from(blob)
-    if magic != TR_MAGIC:
-        raise CacheFormatError(f"{path}: bad magic")
-    if version != VERSION:
-        raise CacheFormatError(f"{path}: version {version} != {VERSION}")
-    # sizes in Python ints first: a header's g or N can be beyond any dtype,
-    # and no cache is written with zero records
-    width = 2 * g + 2
-    body = blob[HEADER.size:]
-    if not count or len(body) != count * (width + 8 * N):
-        raise CacheFormatError(f"{path}: record section does not match the header")
-    dtype = np.dtype([("Q", np.uint8, (width,)), ("s", "<i8", (N,))])
-    records = np.frombuffer(body, dtype)
-    coeffs = records["Q"].copy()
+        head = fh.read(HEADER.size)
+        if len(head) < HEADER.size:
+            raise CacheFormatError(f"{path}: {len(head)} bytes, shorter than the header")
+        magic, version, q, g, N, count = HEADER.unpack(head)
+        if magic != TR_MAGIC:
+            raise CacheFormatError(f"{path}: bad magic")
+        if version != VERSION:
+            raise CacheFormatError(f"{path}: version {version} != {VERSION}")
+        # sizes in Python ints first: a header's g or N can be beyond any dtype,
+        # and no cache is written with zero records
+        body = os.fstat(fh.fileno()).st_size - HEADER.size
+        if not count or body != count * (2 * g + 2 + 8 * N):
+            raise CacheFormatError(f"{path}: record section does not match the header")
+        records = np.empty(count, _record_dtype(g, N))
+        if fh.readinto(records) != body:
+            raise CacheFormatError(f"{path}: record section shorter than its size")
+    coeffs = np.ascontiguousarray(records["Q"])
     s = records["s"].astype(np.int64)
     return q, g, N, coeffs, s
 

@@ -552,20 +552,63 @@ def distinct_rows(cols):
     list of positive Python ints summing to n.  An exact sum over curves of
     any function of these columns is then a count-weighted sum over `rows`,
     which is far shorter because traces repeat heavily across the ensemble.
+
+    The columns (any integer dtype with int64 values) are folded into one
+    int64 key per row, in mixed radix: key = key * span_j + (col_j - min_j)
+    with span_j = max_j - min_j + 1, which orders the keys as the rows.
+    Rank rule: a column whose span reaches INT64_SAFE is replaced by its
+    rank among its distinct values, and where the key's range times span_j
+    would reach INT64_SAFE the running key is replaced by its rank among the
+    distinct keys so far (then the column too, if that is still not enough:
+    both ranges are then at most n < 2^31).  Ranks keep the order, so one
+    in-place sort of the keys groups the rows; `divmod` and the rank tables
+    decode each distinct key back into its row.
     """
     n, m = cols.shape
     if n == 0:
         return [], []
     if m == 0:
         return [()], [n]
-    order = np.lexsort(cols.T[::-1])
-    ordered = cols[order]
-    new = np.zeros(n, bool)
+    key = None
+    radix = 1   # every key lies in [0, radix)
+    steps = []  # per column: (span, min, value table, table of the keys before it)
+    for j in range(m):
+        col = cols[:, j]
+        lo, hi = int(col.min()), int(col.max())
+        span, values, keys = hi - lo + 1, None, None
+        if span >= INT64_SAFE:
+            values, col = np.unique(col, return_inverse=True)
+            lo, span = 0, len(values)
+        if radix * span >= INT64_SAFE:
+            keys, key = np.unique(key, return_inverse=True)
+            radix = len(keys)
+            if radix * span >= INT64_SAFE and values is None:
+                values, col = np.unique(col, return_inverse=True)
+                lo, span = 0, len(values)
+        digit = col.astype(np.int64)
+        digit -= lo
+        if key is None:
+            key = digit
+        else:
+            key *= span
+            key += digit
+        radix *= span
+        steps.append((span, lo, values, keys))
+    key.sort()
+    new = np.empty(n, bool)
     new[0] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    np.not_equal(key[1:], key[:-1], out=new[1:])
     starts = np.flatnonzero(new)
     counts = np.diff(starts, append=n)
-    return list(map(tuple, ordered[starts].tolist())), counts.tolist()
+    code = key[starts]
+    rows = np.empty((len(code), m), np.int64)
+    for j in reversed(range(m)):
+        span, lo, values, keys = steps[j]
+        code, digit = np.divmod(code, span)
+        rows[:, j] = digit + lo if values is None else values[digit]
+        if keys is not None:
+            code = keys[code]
+    return list(map(tuple, rows.tolist())), counts.tolist()
 
 
 # -- trace-product moments -----------------------------------------------------

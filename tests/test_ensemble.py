@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -639,6 +640,54 @@ class TestDistinctRows:
         assert ens.distinct_rows(np.zeros((5, 0), np.int64)) == ([()], [5])
         assert ens.distinct_rows(np.zeros((0, 3), np.int64)) == ([], [])
 
+    @staticmethod
+    def counter_oracle(cols):
+        tally = Counter(tuple(int(v) for v in row) for row in cols)
+        rows = sorted(tally)
+        return rows, [tally[row] for row in rows]
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.uint8])
+    def test_small_dtypes_match_counter(self, dtype):
+        info = np.iinfo(dtype)
+        rng = np.random.default_rng(5)
+        for m in (1, 2, 4):
+            # extreme values of the dtype, and a small pool so rows repeat
+            pool = rng.integers(info.min, info.max, (30, m), endpoint=True, dtype=dtype)
+            pool[0], pool[1] = info.min, info.max
+            cols = pool[rng.integers(0, len(pool), 500)]
+            assert ens.distinct_rows(cols) == self.counter_oracle(cols)
+
+    def test_non_contiguous_column_slice(self):
+        rng = np.random.default_rng(6)
+        full = rng.integers(-40, 40, (3000, 7)) // 9
+        cols = full[::2, 1:6:2]
+        assert not cols.flags.c_contiguous
+        assert ens.distinct_rows(cols) == self.counter_oracle(cols)
+
+    def test_rank_rule_on_a_wide_column_and_on_many_columns(self, monkeypatch):
+        ranked = []
+        real = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **kw: ranked.append(1) or real(*a, **kw))
+        rng = np.random.default_rng(7)
+        # one column spanning nearly all of int64
+        edge = np.array([-2 ** 63, -2 ** 63 + 1, -1, 0, 2 ** 62, 2 ** 63 - 1], np.int64)
+        wide = edge[rng.integers(0, len(edge), (200, 1))]
+        assert ens.distinct_rows(wide) == self.counter_oracle(wide)
+        assert ranked
+        # columns of span 2^13 each: their span product passes 2^62 from m = 5
+        for m in range(5, 10):
+            ranked.clear()
+            pool = rng.integers(-2 ** 12, 2 ** 12, (40, m))
+            pool[0], pool[1] = -2 ** 12, 2 ** 12 - 1
+            cols = pool[rng.integers(0, len(pool), 400)]
+            assert ens.distinct_rows(cols) == self.counter_oracle(cols)
+            assert ranked
+
+    def test_trace_columns_match_counter(self, data_g2):
+        for k in range(1, data_g2.N + 1):
+            cols = data_g2.s[:, :k]
+            assert ens.distinct_rows(cols) == self.counter_oracle(cols)
+
 
 class TestCacheRoundTrip:
     def test_trace_cache(self, tmp_path, data_g1):
@@ -648,6 +697,25 @@ class TestCacheRoundTrip:
         assert (q, g, N) == (3, 1, data_g1.N)
         assert np.array_equal(coeffs, data_g1.coeffs)
         assert np.array_equal(s, data_g1.s)
+
+    def test_written_bytes_are_header_then_records(self, tmp_path, data_g2):
+        path = tmp_path / "traces.bin"
+        cachemod.write_trace_cache(str(path), data_g2)
+        n, width = data_g2.coeffs.shape
+        dtype = np.dtype([("Q", np.uint8, (width,)), ("s", "<i8", (data_g2.N,))])
+        records = np.empty(n, dtype)
+        records["Q"] = data_g2.coeffs
+        records["s"] = data_g2.s
+        header = cachemod.HEADER.pack(cachemod.TR_MAGIC, cachemod.VERSION, 3, 2, data_g2.N, n)
+        assert path.read_bytes() == header + records.tobytes()
+
+    def test_read_arrays_are_contiguous_and_typed(self, tmp_path, data_g2):
+        path = str(tmp_path / "traces.bin")
+        cachemod.write_trace_cache(path, data_g2)
+        _q, _g, _N, coeffs, s = cachemod.read_trace_cache(path)
+        assert coeffs.dtype == np.uint8 and coeffs.flags.c_contiguous
+        assert s.dtype == np.int64 and s.flags.c_contiguous
+        assert np.array_equal(coeffs, data_g2.coeffs) and np.array_equal(s, data_g2.s)
 
     def test_find_deeper_cache(self, tmp_path, data_g1):
         path = cachemod.trace_cache_path(str(tmp_path), 3, 1, 6)

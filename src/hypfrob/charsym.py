@@ -103,18 +103,19 @@ def _unit_tables(q):
             np.array([0] + [pow(c, q - 2, q) for c in range(1, q)]))
 
 
-def _degrees(rows):
-    """Degree of each coefficient row (low degree first); -1 for a zero row."""
-    nonzero = rows != 0
-    top = rows.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
-    return np.where(nonzero.any(axis=1), top, -1)
+def _degrees(cols):
+    """Degree of each coefficient column (low degree first, down axis 0);
+    -1 for a zero column."""
+    width = cols.shape[0]
+    place = np.arange(1, width + 1, dtype=np.min_scalar_type(width))[:, None]
+    return ((cols != 0) * place).max(axis=0).astype(np.intp) - 1
 
 
-def _top_aligned(rows, degrees):
-    """Each row shifted up so that its degree-d coefficient sits in the last column."""
-    width = rows.shape[1]
-    src = np.arange(width) - (width - 1 - degrees)[:, None]
-    return np.where(src >= 0, np.take_along_axis(rows, np.maximum(src, 0), axis=1), 0)
+def _top_aligned(cols, degrees):
+    """Each column shifted up so that its degree-d coefficient sits in the last row."""
+    width, n = cols.shape
+    src = np.arange(width)[:, None] - (width - 1 - degrees)
+    return np.where(src >= 0, cols.ravel()[np.maximum(src, 0) * n + np.arange(n)], 0)
 
 
 def jacobi_symbols(B, A, q):
@@ -144,46 +145,58 @@ def jacobi_symbols(B, A, q):
 def _jacobi_chunk(B, A, q):
     """`jacobi_symbols` on paired (n, kB) and (n, kA) rows.
 
-    The remainder of b by a is taken top down: the coefficient of x^k in b
-    is cancelled against a's leading term, with a kept top-aligned so that
-    every row uses the same column slices.  Rows whose a has degree above k
-    skip the step.  A pair leaves the working set when its symbol is known.
+    The pairs are held coefficient-major, as (width, n) arrays, so that
+    every step works on contiguous memory.  The remainder of b by a is taken
+    top down: the coefficient of x^k in b, reduced mod q, is cancelled
+    against a's leading term, with a kept top-aligned so that every pair
+    uses the same row slices.  Pairs whose a has degree above k skip the
+    step.  Only that 1-D lead is reduced at each step; b is reduced once per
+    Euclid round, when its remainder is read.  Within a round each entry of
+    b starts in [0, q) and each step takes at most (q-1)^2 from it, in at
+    most W steps, W = max(kB, kA) the padded width (a step at k reaches the
+    deg a + 1 <= kA entries below it).  So |b| <= (q-1) + W (q-1)^2, and
+    that bound picks the dtype: int8 at q = 3 up to W = 31.  A pair leaves
+    the working set, by one index compaction per round, when its symbol is
+    known.
     """
-    dtype = np.min_scalar_type(-(q - 1) ** 2)  # holds b - lead * a before reduction
+    width = A.shape[1]
+    W = max(B.shape[1], width)
+    dtype = np.min_scalar_type(-((q - 1) + W * (q - 1) ** 2))
     legendre_of, inverse_of = _unit_tables(q)
     swap_signs = (q - 1) // 2 % 2 == 1
-    a = (A % q).astype(dtype)
-    n, width = a.shape
+    a = (A % q).T.astype(dtype)
+    n = a.shape[1]
     da = _degrees(a)
-    if (a[np.arange(n), da] != 1).any():
+    if (a[da, np.arange(n)] != 1).any():
         raise ValueError("Jacobi symbol denominator must be monic")
-    b = np.zeros((n, max(B.shape[1], width)), dtype)
-    b[:, :B.shape[1]] = B % q
+    b = np.zeros((W, n), dtype)
+    b[:B.shape[1]] = (B % q).T
     out = np.ones(n, np.int8)  # a constant denominator gives 1, whatever B is
     rows = np.flatnonzero(da > 0)
-    a, b, da = a[rows], b[rows], da[rows]
+    a, b, da = a[:, rows], b[:, rows], da[rows]
     sign = np.ones(len(rows), np.int8)
-    top = b.shape[1] - 1  # b's degree is at most this
+    top = W - 1  # b's degree is at most this
     while len(rows):
         a_top = _top_aligned(a, da)
         for k in range(top, da.min() - 1, -1):
-            lead = np.where(da <= k, b[:, k], 0)
+            lead = b[k] % q
+            lead[da > k] = 0
             lo = max(0, k - width + 1)
-            b[:, lo:k + 1] -= lead[:, None] * a_top[:, width - (k + 1 - lo):]
-            b[:, lo:k + 1] %= q
-        r = b[:, :width]
+            b[lo:k + 1] -= lead * a_top[width - (k + 1 - lo):]
+        r = b[:width] % q
         dr = _degrees(r)
-        unit = r[np.arange(len(r)), dr]  # 0 for a zero remainder
+        unit = r[dr, np.arange(len(rows))]  # 0 for a zero remainder
         odd = da % 2 == 1
         sign[odd & (legendre_of[unit] == -1)] *= -1
         out[rows[dr < 0]] = 0
         out[rows[dr == 0]] = sign[dr == 0]
         sign[odd & (dr % 2 == 1) & swap_signs] *= -1
-        more = dr > 0
-        top = da[more].max(initial=0)
-        b = a[more]
-        a = (r[more] * inverse_of[unit[more], None] % q).astype(dtype)
-        da, sign, rows = dr[more], sign[more], rows[more]
+        keep = np.flatnonzero(dr > 0)
+        top = da[keep].max(initial=0)
+        b = a[:, keep]
+        a = r[:, keep] * inverse_of[unit[keep]].astype(dtype)
+        a %= q
+        da, sign, rows = dr[keep], sign[keep], rows[keep]
     return out
 
 

@@ -34,7 +34,7 @@ from .lfunction import (
     traces_from_eigenphases,
     traces_from_lpoly,
 )
-from .polyfield import get_prime_table, monic_rows, poly
+from .polyfield import ResidueField, digit_codes, get_prime_table, monic_rows, poly
 
 CACHE_ENV = "HYPFROB_CACHE_DIR"
 PAIRS_PER_PASS = 2 ** 20  # (modulus, prime) pairs per batched symbol pass: ~1 MB of int8
@@ -172,16 +172,30 @@ def _battery(q, g):
     """(name, table) pairs of the ten functionals of the dual-average check
     at genus g, each an int64 table over the monic codes of degree 2g+1,
     total on all monic arguments.  Each table is a product of the columns
-    (M/x), (M/(x+1)) and the explicit sums t_1..t_3 of one batched
-    `prime_symbols` pass through degree 3 over every such M in code order."""
+    (M/x), (M/(x+1)) and the explicit sums t_1..t_3 over every such M in
+    code order.  For a prime P of degree <= 3, (M/P) is the quadratic
+    character of M mod P: P's `ResidueField.chars` at the residue code of
+    M, whose digits are M's coefficient row times the rows x^i mod P.  The
+    check compares two averages of the same tables, so these symbols need
+    no route of their own."""
     table = get_prime_table(q, 3)
     linear = table.irreducibles(1)
     at_x, at_x1 = linear.index(poly((0, 1), q)), linear.index(poly((1, 1), q))
     degree = 2 * g + 1
+    dtype = np.min_scalar_type((degree + 1) * (q - 1) ** 2)  # holds each residue digit sum
+    stacks = {}  # per prime degree d: stacked rows x^i mod P, and the character tables
+    for d in (1, 2, 3):
+        fields = [ResidueField(prime, q) for prime in table.irreducibles(d)]
+        stacks[d] = (np.hstack([field.rows(degree + 1) for field in fields]).astype(dtype),
+                     np.stack([field.chars for field in fields]))
     codes = np.arange(q ** degree)
     cols = np.empty((5, len(codes)), np.int64)  # chi(x), chi(x+1), t1, t2, t3
     for part in _passes(len(codes), sum(table.counts[d] for d in (1, 2, 3))):
-        symbols = prime_symbols(monic_rows(codes[part], degree, q), q, 3, table)
+        rows = monic_rows(codes[part], degree, q).astype(dtype)
+        symbols = {}
+        for d, (reduction, chars) in stacks.items():
+            residues = (rows @ reduction % q).reshape(len(rows), len(chars), d)
+            symbols[d] = chars[np.arange(len(chars)), digit_codes(residues, q)]
         cols[:, part] = [symbols[1][:, at_x], symbols[1][:, at_x1],
                          *(explicit_sum(symbols, n) for n in (1, 2, 3))]
     factors = (("one", ()), ("chi(x)", (0,)), ("chi(x+1)", (1,)), ("chi(x)^2", (0, 0)),
@@ -210,15 +224,17 @@ class _Tally:
                                   f"failed, first {self.failures[0]}")
 
 
-def _curve_checks(curve, row, A, symbols, points, N, explicit_N):
+def _curve_checks(curve, row, A, symbols, points, theta, recon, N, explicit_N):
     """The per-curve checks on one curve, as (check name, ok, failure detail).
 
-    `A`, `symbols` and `points` are the curve's rows of the batched
-    Dirichlet, prime-symbol and point-count passes of `verify_suite`; the
-    symbols feed the explicit traces, the prime-sum bound and the power
-    decomposition, and points[n-1] is the count over F_{q^n}.  A curve whose
-    L-data or eigenphases cannot be formed fails that check and skips the
-    checks that need them."""
+    `A`, `symbols`, `points`, `theta` and `recon` are the curve's rows of
+    the batched Dirichlet, prime-symbol, point-count, eigenphase and
+    phase-reconstruction passes of `verify_suite`; the symbols feed the
+    explicit traces, the prime-sum bound and the power decomposition,
+    points[n-1] is the count over F_{q^n}, and `theta` is the
+    RootMagnitudeError of the phase pass where the curve has a root off the
+    critical circle.  A curve whose L-data or eigenphases cannot be formed
+    fails that check and skips the checks that need them."""
     q, g = curve.q, curve.g
     try:
         ld = complete_l(curve, A)
@@ -230,16 +246,13 @@ def _curve_checks(curve, row, A, symbols, points, N, explicit_N):
     yield "engine agreement", list(row) == s, "engine trace mismatch"
     yield ("dual trace paths", traces_explicit(curve, explicit_N, symbols=symbols)
            == s[:explicit_N], "explicit vs Newton mismatch")
-    try:
-        theta = eigenphases(ld, q)
-    except RootMagnitudeError as exc:
-        yield "riemann hypothesis", False, str(exc)
+    if isinstance(theta, RootMagnitudeError):
+        yield "riemann hypothesis", False, str(theta)
         return
     yield "riemann hypothesis", True, None
     neg = sorted(_reflect_phase(t) for t in theta)
     paired = not any(abs(a - b) > 1e-8 for a, b in zip(sorted(theta), neg))
     yield "eigenphase pairing", len(theta) == 2 * g and paired, "phases not negation-closed"
-    recon = traces_from_eigenphases(theta, q, N)
     n = next((n for n in range(1, N + 1)
               if abs(recon[n - 1] - s[n - 1]) > 1e-9 * q ** (n / 2)), None)
     yield "trace reconstruction", n is None, f"phase-trace reconstruction off at n={n}"
@@ -307,10 +320,13 @@ def verify_suite(q, g, cache_dir=None, budget=ens.DEFAULT_BUDGET, exhaustive=Non
         A = dirichlet_coefficients(moduli, q, strategy=strategy)
         symbols = prime_symbols(moduli, q, explicit_N, table)
         points = np.array([point_count_direct(moduli, q, n) for n in range(1, point_N + 1)])
+        theta, off_circle = eigenphases(A, q)
+        recon = traces_from_eigenphases(theta, q, N)
         for j, i in enumerate(sample[part]):
             for name, ok, detail in _curve_checks(data.curve(i), data.s[i], A[j].tolist(),
                                                   symbol_row(symbols, j), points[:, j].tolist(),
-                                                  N, explicit_N):
+                                                  off_circle.get(j, theta[j].tolist()),
+                                                  recon[j].tolist(), N, explicit_N):
                 tallies[name].record(f"curve {i}", ok, detail)
     checks.extend(tally.entry() for tally in tallies.values())
 

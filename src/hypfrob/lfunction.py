@@ -2,10 +2,12 @@
 polynomial, Frobenius traces by two independent routes, eigenphases, point
 counts.
 
-The character sums and the point counts take one modulus or a stack of
-them: the sums run on the batched Jacobi kernel of `charsym`, the counts
-on one Horner pass over a `polyfield.ResidueField`.  The rest work one
-curve at a time.
+The character sums, the point counts and the eigenphases take one
+modulus or L-polynomial, or a stack of them: the sums run on the batched
+Jacobi kernel of `charsym`, the counts on one Horner pass over a
+`polyfield.ResidueField`, the phases on one batched eigenvalue call over
+companion matrices.  The Dirichlet completion, Newton's identities and
+the explicit traces of one curve work on that curve's row.
 
 All character sums and coefficients are exact integers; floating point
 enters only in eigenphase extraction.  The scaled trace s_n equals the
@@ -16,7 +18,6 @@ The point count over F_{q^n} is q^n + 1 - s_n.  The routes are compared
 exactly in the tests, which pins the sign convention.
 """
 
-import cmath
 import math
 from fractions import Fraction
 from dataclasses import dataclass
@@ -276,59 +277,90 @@ def _squarefree_mod(coeffs, p):
 
 
 def _polished_roots(coeffs):
-    """Companion-matrix roots of a simple-root polynomial, Newton refined."""
-    cf = np.array([float(c) for c in coeffs])
-    roots = np.roots(cf[::-1])
-    dcf = cf[1:] * np.arange(1, len(cf))
+    """Roots of each simple-root polynomial of the (m, d+1) stack `coeffs`
+    (low degree first, nonzero leading entry), as an (m, d) complex array:
+    one batched eigenvalue call on the companion matrices, each built as
+    `np.roots` builds it, then 3 Newton steps."""
+    cf = np.asarray(coeffs, float)
+    k = cf.shape[1]
+    p = cf[:, ::-1]
+    companion = np.zeros((len(cf), k - 1, k - 1))
+    companion[:, np.arange(1, k - 1), np.arange(k - 2)] = 1.0
+    companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+    roots = np.linalg.eigvals(companion).astype(complex)
+    # coefficients down axis 0, each row's against its own roots (tensor=False)
+    by_power = cf.T[..., None]
+    deriv_by_power = (cf[:, 1:] * np.arange(1, k)).T[..., None]
     for _ in range(3):
-        vals = np.polynomial.polynomial.polyval(roots, cf)
-        ders = np.polynomial.polynomial.polyval(roots, dcf)
+        vals = np.polynomial.polynomial.polyval(roots, by_power, tensor=False)
+        ders = np.polynomial.polynomial.polyval(roots, deriv_by_power, tensor=False)
         step = np.where(ders != 0, vals / np.where(ders != 0, ders, 1.0), 0.0)
         roots = roots - step
     return roots
 
 
-def eigenphases(ldata, q):
-    """Angles theta_j in (-pi, pi] with completed-polynomial roots
+def eigenphases(L, q):
+    """Angles theta_j in (-pi, pi], sorted, with completed-polynomial roots
     q^(-1/2) e^(-i theta_j).
 
-    Repeated factors are split off exactly first (multiple roots would cost
-    the companion matrix half its digits), then each simple root is Newton
-    polished.  The exact split is skipped when gcd(Astar, Astar') is 1 mod
-    SQUAREFREE_TEST_PRIME, which divides neither the leading coefficient
-    q^g nor 2g, as Astar is then squarefree over Q.  Root magnitudes must
-    sit on the critical circle within ROOT_MAGNITUDE_TOL; violations abort
-    rather than clamp.
+    `L` is one L-polynomial, an `LData` or its completed coefficients,
+    giving a tuple of floats and raising RootMagnitudeError for a root off
+    the critical circle; or a stack of completed rows of one degree 2g, an
+    (m, 2g+1) array, giving an (m, 2g) float array and a dict mapping each
+    row with such a root to its error (that row's phases are NaN).
+
+    Each distinct row is solved once.  A row is squarefree over Q when it
+    keeps its degree and is squarefree mod SQUAREFREE_TEST_PRIME, which
+    divides neither the leading coefficient q^g nor 2g; those rows go
+    through one batched `_polished_roots`.  The other rows are split
+    exactly first (multiple roots would cost the companion matrix half its
+    digits), and each factor goes through the same polish.  Root magnitudes
+    must sit on the critical circle within ROOT_MAGNITUDE_TOL; violations
+    are reported rather than clamped.
     """
+    if isinstance(L, LData):
+        L = L.Astar
+    stack, single = _as_stack(L)
+    rows, inverse = np.unique(stack, axis=0, return_inverse=True)
+    d = rows.shape[1] - 1
+    simple = np.array([_squarefree_mod(row, SQUAREFREE_TEST_PRIME) for row in rows.tolist()], bool)
+    roots = np.empty((len(rows), d), complex)
+    if simple.any():
+        roots[simple] = _polished_roots(rows[simple])
+    for i in np.flatnonzero(~simple).tolist():
+        split = np.concatenate([np.repeat(_polished_roots([factor])[0], mult)
+                                for factor, mult in squarefree_factors(rows[i].tolist())])
+        if len(split) != d:
+            raise ArithmeticError("root multiplicities do not add up to the degree")
+        roots[i] = split
     target = q ** -0.5
-    thetas = []
-    if _squarefree_mod(ldata.Astar, SQUAREFREE_TEST_PRIME):
-        factors = [(ldata.Astar, 1)]
-    else:
-        factors = squarefree_factors(ldata.Astar)
-    for factor, mult in factors:
-        for u in _polished_roots(factor):
-            if abs(abs(u) - target) > ROOT_MAGNITUDE_TOL:
-                raise RootMagnitudeError(
-                    f"root magnitude {abs(u):.12g} vs {target:.12g} exceeds tolerance")
-            theta = -cmath.phase(u * q ** 0.5)
-            if theta <= -math.pi:  # a root on the negative real axis: pi, not -pi
-                theta += 2 * math.pi
-            thetas.extend([theta] * mult)
-    if len(thetas) != len(ldata.Astar) - 1:
-        raise ArithmeticError("root multiplicities do not add up to the degree")
-    thetas.sort()
-    return tuple(thetas)
+    magnitudes = np.abs(roots)
+    off = np.abs(magnitudes - target) > ROOT_MAGNITUDE_TOL
+    errors = {}
+    for i in np.flatnonzero(off.any(axis=1)).tolist():
+        errors[i] = RootMagnitudeError(
+            f"root magnitude {magnitudes[i, np.argmax(off[i])]:.12g} vs {target:.12g} "
+            f"exceeds tolerance")
+    theta = -np.angle(roots * q ** 0.5)
+    theta[theta <= -math.pi] += 2 * math.pi  # a root on the negative real axis: pi, not -pi
+    theta[list(errors)] = np.nan
+    theta = np.sort(theta, axis=1)
+    if single:
+        if errors:
+            raise errors[0]
+        return tuple(theta[0].tolist())
+    inverse = inverse.reshape(-1)
+    return theta[inverse], {j: errors[i] for j, i in enumerate(inverse.tolist()) if i in errors}
 
 
 def traces_from_eigenphases(theta, q, N):
-    """Float reconstruction q^(n/2) sum_j e^(i n theta_j); conjugate pairing
-    makes the result real."""
-    out = []
-    for n in range(1, N + 1):
-        val = sum(cmath.exp(1j * n * t) for t in theta)
-        out.append(q ** (n / 2) * val.real)
-    return out
+    """Float reconstruction q^(n/2) sum_j e^(i n theta_j), n = 1..N; conjugate
+    pairing makes the result real.  `theta` is one phase tuple, giving a
+    list, or an (m, 2g) stack of phase rows, giving an (m, N) array."""
+    theta = np.asarray(theta, float)
+    n = np.arange(1, N + 1)
+    out = q ** (n / 2) * np.exp(1j * n[:, None] * theta[..., None, :]).sum(axis=-1).real
+    return out.tolist() if theta.ndim == 1 else out
 
 
 def point_count_direct(Q, q, n):

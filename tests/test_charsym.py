@@ -167,6 +167,24 @@ class TestJacobiKernel:
         for b, a, symbol in zip(B.tolist(), A.tolist(), got.tolist()):
             assert symbol == cs.jacobi_symbol(pf.poly(b, q), pf.poly(a, q), q)
 
+    @pytest.mark.parametrize("q,kB,kA", [(137, 9, 9), (13, 12, 2)])
+    def test_matches_scalar_at_the_extremes_of_the_dtype_bound(self, q, kB, kA):
+        # within a Euclid round |b| <= (q-1) + W (q-1)^2 with W = max(kB, kA):
+        # 166,600 at q = 137 and width 9 (int32), and at q = 13 a degree-11 B
+        # against a degree-1 A takes the most steps in one round (int16).
+        # Coefficients q-1 and q-2 make every lead and every product of a
+        # step as large as it gets.
+        rng = np.random.default_rng(q)
+        B = rng.choice([0, q - 2, q - 1], (400, kB), p=[0.1, 0.3, 0.6])
+        B[:2] = q - 1
+        deg = rng.integers(1, kA, 400)
+        deg[:2] = kA - 1
+        A = np.where(np.arange(kA) < deg[:, None], rng.choice([q - 2, q - 1], (400, kA)), 0)
+        A[np.arange(400), deg] = 1
+        got = cs.jacobi_symbols(B, A, q)
+        assert got.tolist() == [cs.jacobi_symbol(pf.poly(b, q), pf.poly(a, q), q)
+                                for b, a in zip(B.tolist(), A.tolist())]
+
     def test_single_pair_and_constant_denominator(self):
         B, A = (0, 1), (1, 2, 0, 1)
         assert cs.jacobi_symbols(B, A, 3) == cs.jacobi_symbol(B, A, 3) == -1

@@ -247,8 +247,8 @@ def test_battery_averages_agree_beyond_small_q(q):
 
 def test_a_flipped_kernel_symbol_fails_the_dual_trace_paths(tmp_path, capsys, monkeypatch):
     # flip (Q/P) for curve 5 and the first degree-4 prime: at q = 3, g = 1 only
-    # the batched prime pass reaches degree 4 (the Dirichlet sums stop at 2,
-    # the dual-average battery at 3)
+    # the batched prime pass reaches degree 4 (the Dirichlet sums stop at 2;
+    # the dual-average battery reads residue-field characters, not the kernel)
     Q = ens.compute_ensemble_data(3, 1, 4).coeffs[5]
     P = np.array(pf.get_prime_table(3, 4).first_irreducible(4))
     kernel = lf.jacobi_symbols
@@ -269,8 +269,10 @@ def test_a_flipped_kernel_symbol_fails_the_dual_trace_paths(tmp_path, capsys, mo
 
 
 def test_a_flipped_character_fails_the_point_counts(tmp_path, capsys, monkeypatch):
-    # flip chi(1) in F_9: at q = 3, g = 1 only the point counts read a
-    # degree-2 character table (the engine's primes stop at degree g = 1)
+    # flip chi(1) in F_9: at q = 3, g = 1 the point counts and the dual-average
+    # battery read a degree-2 character table (the engine's primes stop at
+    # degree g = 1); the battery compares two averages of the same tables, so
+    # only the point counts fail
     init = pf.ResidueField.__init__
 
     def flipped(field, prime, q):
@@ -287,6 +289,44 @@ def test_a_flipped_character_fails_the_point_counts(tmp_path, capsys, monkeypatc
     assert run_cli(["verify", "--q", "3", "--g", "1", "--cache-dir", str(tmp_path / "cache"),
                     "--out", str(tmp_path)]) == 1
     assert line in [ln.strip() for ln in capsys.readouterr().out.splitlines()]
+
+
+def test_a_corrupted_phase_row_fails_only_the_reconstruction(tmp_path, capsys, monkeypatch):
+    # stretch curve 5's phases away from zero: still closed under negation,
+    # but no longer the roots of its L-polynomial
+    real = harness.eigenphases
+
+    def stretched(A, q):
+        theta, errors = real(A, q)
+        theta = theta.copy()
+        theta[5] = np.sign(theta[5]) * (np.abs(theta[5]) + 0.25)
+        return theta, errors
+
+    monkeypatch.setattr(harness, "eigenphases", stretched)
+    line = ("[FAIL] trace reconstruction: phases reproduce s_n to 1e-9 q^(n/2), all curves; "
+            "1 of 18 failed, first curve 5: phase-trace reconstruction off at n=1")
+    lines = harness.verify_suite(3, 1).lines()
+    assert [ln for ln in lines if ln.startswith("[FAIL]")] == [line]
+    assert run_cli(["verify", "--q", "3", "--g", "1", "--cache-dir", str(tmp_path / "cache"),
+                    "--out", str(tmp_path)]) == 1
+    assert line in [ln.strip() for ln in capsys.readouterr().out.splitlines()]
+
+
+def test_an_off_circle_row_fails_only_its_riemann_hypothesis_check(monkeypatch):
+    # curve 7's completed row replaced by 1 + 4u + 3u^2 = (1 + u)(1 + 3u) in
+    # the phase pass alone: its root u = -1 is off the circle |u| = 3^(-1/2)
+    real = harness.eigenphases
+
+    def off_circle(A, q):
+        A = A.copy()
+        A[7] = (1, 4, 3)
+        return real(A, q)
+
+    monkeypatch.setattr(harness, "eigenphases", off_circle)
+    lines = harness.verify_suite(3, 1).lines()
+    assert [ln for ln in lines if ln.startswith("[FAIL]")] == [
+        "[FAIL] riemann hypothesis: root magnitudes within 1e-9 of q^(-1/2), all curves; "
+        "1 of 18 failed, first curve 7: root magnitude 1 vs 0.57735026919 exceeds tolerance"]
 
 
 class TestReports:

@@ -187,6 +187,54 @@ class TestEigenphases:
                 assert abs(r - sn) <= 1e-9 * 3 ** (n / 2)
 
 
+def _roots_oracle_phases(A, q):
+    """Sorted phases of the completed polynomial A from `np.roots` on each
+    factor of sympy's squarefree split, repeated by multiplicity."""
+    sympy = pytest.importorskip("sympy")
+    u = sympy.symbols("u")
+    roots = []
+    for factor, mult in sympy.Poly(list(A)[::-1], u).sqf_list()[1]:
+        roots += list(np.roots([float(c) for c in factor.all_coeffs()])) * mult
+    thetas = [-cmath.phase(r * q ** 0.5) for r in roots]
+    return sorted(t + 2 * math.pi if t <= -math.pi else t for t in thetas)
+
+
+class TestStackedEigenphases:
+    @pytest.mark.parametrize("q,g", [(3, 2), (5, 1), (5, 2)])
+    def test_every_l_polynomial_matches_a_per_row_roots_oracle(self, q, g):
+        data = compute_ensemble_data(q, g, g)
+        A = np.asarray(lf.dirichlet_coefficients(data.coeffs, q))
+        theta, errors = lf.eigenphases(A, q)
+        assert errors == {} and theta.shape == (data.count, 2 * g)
+        rows = {tuple(r) for r in A.tolist()}
+        if (q, g) == (5, 2):
+            assert (1, 0, -10, 0, 25) in rows  # x^5 + 4x: (1 - 5u^2)^2
+        oracle = {r: _roots_oracle_phases(r, q) for r in rows}
+        for row, phases in zip(A.tolist(), theta):
+            assert np.abs(phases - oracle[tuple(row)]).max() <= 1e-12
+
+    def test_a_stack_flags_only_the_off_circle_row(self):
+        stack = np.array([(1, 3, 3), (1, 4, 3), (1, 0, 3), (1, -3, 3)])
+        theta, errors = lf.eigenphases(stack, 3)
+        assert list(errors) == [1] and isinstance(errors[1], lf.RootMagnitudeError)
+        with pytest.raises(lf.RootMagnitudeError) as single:
+            lf.eigenphases(lf.LData(A=(1, 4, 3), Astar=(1, 4, 3)), 3)
+        assert str(errors[1]) == str(single.value)
+        assert np.isnan(theta[1]).all()
+        for j in (0, 2, 3):
+            assert theta[j].tolist() == list(lf.eigenphases(tuple(stack[j].tolist()), 3))
+
+    def test_a_single_polynomial_is_a_stack_of_one(self, data_g2):
+        A = np.asarray(lf.dirichlet_coefficients(data_g2.coeffs, 3))
+        theta, _ = lf.eigenphases(A, 3)
+        recon = lf.traces_from_eigenphases(theta, 3, 6)
+        assert recon.shape == (data_g2.count, 6)
+        for i in range(0, data_g2.count, 9):
+            single = lf.eigenphases(lf.LData(A=tuple(A[i].tolist()), Astar=tuple(A[i].tolist())), 3)
+            assert single == tuple(theta[i].tolist())
+            assert lf.traces_from_eigenphases(single, 3, 6) == recon[i].tolist()
+
+
 class TestPointCounts:
     def test_example_count(self):
         assert lf.point_count_direct(EXAMPLE.Q, 3, 1) == 7

@@ -17,11 +17,21 @@ Traces take one route, `TraceEngine`: the explicit formula gives s_1..s_g
 from chi_Q at the primes of degree <= g, inverse Newton the coefficients
 A_1..A_g, the functional equation A_{g+1..2g}, and Newton's identities
 s_1..s_N.  Rows go through it in fixed chunks of CHUNK_ROWS in the calling
-thread, so results are bit-identical for any worker count.  The bulk path
-runs it on one representative per translation orbit Q(x) ~ Q(x+t) only
-and copies the representative's traces to every curve of the orbit:
-x -> x+t permutes the monic primes of each degree and keeps chi_Q, so
-the traces are orbit invariants (`translation_orbits`).
+thread, so results are bit-identical for any worker count.
+
+The bulk path runs it on one curve per orbit of the group AGL(1, q) of
+maps Q(x) -> l^-(2g+1) Q(l x + b), l != 0, which permutes the ensemble
+(`agl_orbits`).  A translation x -> x+b permutes the monic primes of each
+degree and keeps chi_Q, so it keeps every trace; a scaling by l is the
+quadratic twist when l is not a square, so s_n -> chi(l)^n s_n with chi
+the Legendre symbol of F_q.  The representative of an orbit is its least
+code.  A transversal of the translation orbits is scaled by every l, the
+engine traces the representatives, and `AglOrbits.scatter` gives each
+transversal row chi(l)^n s_n of its representative and copies it to the
+row's q translates.  Invariants checked on every pass, else
+ArithmeticError: translation orbits of size 1 or q, orbit sizes dividing
+q(q-1) and summing to (q-1) q^(2g), every curve written, s_n = 0 at odd n
+on orbits fixed by a non-square l, and every odd column of s summing to 0.
 """
 
 import itertools
@@ -32,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rmt
-from .charsym import jacobi_symbol
+from .charsym import jacobi_symbol, legendre_table
 from .exact import HalfPowerRational
 from .lfunction import Curve, prime_symbols, symbol_power_sum
 from .polyfield import (
@@ -372,58 +382,160 @@ class EnsembleData:
 def compute_ensemble_data(q, g, N, *, budget=DEFAULT_BUDGET):
     """Traces s_1..s_N for every curve of the ensemble, in enumeration order.
 
-    `TraceEngine` runs only on one representative of each translation orbit
-    (see `translation_orbits`); every curve takes its representative's row
-    of traces, so `s` is bit-identical to an engine pass over all curves.
-    Orbit sizes that fail `check_orbit_sizes` raise ArithmeticError.
+    `TraceEngine` runs only on the least code of each AGL(1, q) orbit (see
+    `agl_orbits`), and `AglOrbits.scatter` gives every curve chi(l)^n times
+    its representative's s_n, so `s` is bit-identical to an engine pass over
+    all curves.  A failed orbit invariant raises ArithmeticError.
     The chunks run in the calling thread: a thread pool lost to one thread
     at every measured point, as BLAS already threads the matmul.
     """
     D = 2 * g + 1
-    coeffs = monic_rows(squarefree_codes(q, g, budget), D, q)
+    codes = squarefree_codes(q, g, budget)
+    coeffs = monic_rows(codes, D, q)
     engine = TraceEngine(q, g, N)
-    reps, orbit = translation_orbits(q, g, coeffs)
-    s = engine.traces(monic_rows(reps, D, q))[orbit]
+    orbits = agl_orbits(q, g, codes, coeffs)
+    s = orbits.scatter(engine.traces(monic_rows(orbits.reps, D, q)))
     return EnsembleData(q=q, g=g, N=N, coeffs=coeffs, s=s)
 
 
-def translation_orbits(q, g, coeffs):
-    """The orbits of the curve rows `coeffs` under Q(x) -> Q(x+t), t in F_q.
+SCATTER_ROWS = 2 ** 14  # transversal rows per scatter pass; bounds its temporaries
 
-    Returns the ascending codes of one representative per orbit and, for
-    each row, the index of its orbit.  x -> x+t maps the monic primes of
-    each degree onto themselves with (Q(x+t) / P(x+t)) = (Q / P), so every
-    curve of an orbit has the same c_d, z_d and s_n.  The representative is
-    the least code among the q translates, an orbit invariant for every
-    (q, g).  The translates exist one chunk at a time; only their codes are
-    kept.
+
+@dataclass
+class AglOrbits:
+    """The orbits of the ensemble under Q(x) -> l^-(2g+1) Q(l x + b).
+
+    The transversal holds one curve per translation orbit, its least code.
+    Per orbit: `reps`, its least code (ascending), `sizes`, its number of
+    curves, and `fixed`, whether a non-square l fixes it.  Per transversal
+    row: `rep_of`, the index of its orbit, `twist`, chi(l) for the l that
+    carries it onto its representative's translation orbit,
+    `translation_sizes`, the size of its translation orbit, and the ensemble
+    rows of its q translates, as the columns of `translate_rows`, an int32
+    (q, rows) array.
+    """
+    count: int
+    reps: np.ndarray
+    sizes: np.ndarray
+    fixed: np.ndarray
+    rep_of: np.ndarray
+    twist: np.ndarray
+    translation_sizes: np.ndarray
+    translate_rows: np.ndarray
+
+    def scatter(self, s_reps):
+        """Traces of every curve, in ensemble row order, from the traces of
+        the representatives: odd columns take the row's twist sign, then each
+        transversal row's traces go to all its translates.
+
+        Raises ArithmeticError unless a fixed orbit has s_n = 0 at every odd
+        n, every curve is written, and every odd column sums to 0 over the
+        ensemble.  The last holds as a non-square l permutes the ensemble
+        and negates s_n at odd n.  Once every curve is written, and the
+        translation sizes sum to the curve count, each curve is written by
+        one transversal row, so that sum is the transversal's sum weighted by
+        `translation_sizes`; it is taken mod 2^64, where a true 0 stays 0.
+        """
+        if s_reps[self.fixed, ::2].any():
+            raise ArithmeticError("an orbit fixed by a non-square scaling has a nonzero "
+                                  "odd-power trace")
+        s = np.empty((self.count, s_reps.shape[1]), np.int64)
+        written = np.zeros(self.count, bool)
+        odd_sums = 0
+        for lo in range(0, len(self.rep_of), SCATTER_ROWS):
+            part = slice(lo, lo + SCATTER_ROWS)
+            s_t = s_reps[self.rep_of[part]]
+            s_t[:, ::2] *= self.twist[part, None]
+            odd_sums += self.translation_sizes[part] @ s_t[:, ::2]
+            for rows in self.translate_rows[:, part]:
+                s[rows] = s_t
+                written[rows] = True
+        if not written.all():
+            raise ArithmeticError(f"the orbit scatter wrote {np.count_nonzero(written)} of "
+                                  f"{self.count} curves")
+        if np.any(odd_sums):
+            raise ArithmeticError("an odd-power trace column does not sum to 0 over the "
+                                  "ensemble: a twist sign is lost")
+        return s
+
+
+def agl_orbits(q, g, codes, coeffs):
+    """The AGL(1, q) orbits of the ensemble, whose ascending codes and
+    coefficient rows are `codes` and `coeffs`.
+
+    Q(x) -> Q(x+t) permutes the monic primes of each degree and keeps
+    (Q / P), so it keeps every trace.  Q(x) -> l^-(2g+1) Q(l x), which maps
+    a_i to l^(i-2g-1) a_i, is the quadratic twist by l when l is not a
+    square: s_n -> chi(l)^n s_n.
+
+    1. Transversal: when q does not divide 2g+1, a_{2g} + (2g+1) t takes
+       every value, so each translation orbit has q curves and exactly one
+       with a_{2g} = 0, the top digit of the code: its least curve, and the
+       codes below q^(2g) are the transversal.  Otherwise the least of the q
+       translates of each curve marks its orbit.
+    2. Scaling: the least translation-canonical code over the q-1 scalings
+       of a transversal row is the least code of its orbit; the least l
+       giving it yields the row's twist.  Scaling keeps a_{2g} = 0, so when
+       q does not divide 2g+1 that code is the scaled row's own.
+    Raises ArithmeticError when `check_orbit_sizes` fails.
     """
     D = 2 * g + 1
+    row_of = np.full(q ** D, -1, np.int32)
+    row_of[codes] = np.arange(len(codes), dtype=np.int32)
 
-    def representative_codes(rows):
-        return digit_codes(translates(rows, q)[:, :, :D], q).min(axis=1)
+    def translate_codes(rows):
+        return digit_codes(translates(rows, q)[:, :, :D], q)
 
-    reps, orbit, sizes = np.unique(_map_chunks(representative_codes, coeffs),
-                                   return_inverse=True, return_counts=True)
-    check_orbit_sizes(q, g, sizes)
-    return reps, orbit
+    if D % q:
+        m = int(np.searchsorted(codes, q ** (D - 1)))
+        t_codes, t_coeffs, canonical = codes[:m], coeffs[:m], None
+    else:
+        canonical = _map_chunks(lambda rows: translate_codes(rows).min(axis=1), coeffs)
+        keep = canonical == codes
+        t_codes, t_coeffs = codes[keep], coeffs[keep]
+    t_rows = _map_chunks(lambda rows: row_of[translate_codes(rows)], t_coeffs)
+    t_sizes = 1 + np.count_nonzero(np.diff(np.sort(t_rows, axis=1), axis=1), axis=1)
+
+    digits = t_coeffs[:, :D]
+    images = np.empty((len(t_codes), q - 1), np.int64)
+    images[:, 0] = t_codes
+    for l in range(2, q):
+        scale = np.array([pow(l, (i - D) % (q - 1), q) for i in range(D)],
+                         np.min_scalar_type((q - 1) ** 2))
+        image = digit_codes(digits * scale % q, q)
+        images[:, l - 1] = image if canonical is None else canonical[row_of[image]]
+    best = images.argmin(axis=1)
+    reps, rep_of = np.unique(images.min(axis=1), return_inverse=True)
+    chi = np.array(legendre_table(q), np.int64)
+    sizes = np.bincount(rep_of, t_sizes).astype(np.int64)
+    check_orbit_sizes(q, g, t_sizes, sizes)
+    nonsquare = np.flatnonzero(chi[1:] == -1)
+    fixed = (images[np.searchsorted(t_codes, reps)][:, nonsquare] == reps[:, None]).any(axis=1)
+    return AglOrbits(count=len(codes), reps=reps, sizes=sizes, fixed=fixed, rep_of=rep_of,
+                     twist=chi[best + 1], translation_sizes=t_sizes,
+                     translate_rows=np.ascontiguousarray(t_rows.T))
 
 
-def check_orbit_sizes(q, g, sizes):
+def check_orbit_sizes(q, g, translation_sizes, sizes):
     """Raise ArithmeticError unless the translation orbit sizes are each 1
-    or q, each q when q does not divide 2g+1, and sum to (q-1) q^(2g).
+    or q, each q when q does not divide 2g+1, the AGL orbit sizes each
+    divide the group order q(q-1), and both sum to (q-1) q^(2g).
 
-    An orbit has q elements or one, as q is prime.  When q does not divide
-    2g+1, the x^(2g) coefficient a_{2g} + (2g+1) t of Q(x+t) takes q
-    values, so no curve is fixed; when q divides 2g+1, the polynomials in
-    x^q - x are fixed.
+    A translation orbit has q elements or one, as q is prime.  When q does
+    not divide 2g+1, the x^(2g) coefficient a_{2g} + (2g+1) t of Q(x+t)
+    takes q values, so no curve is fixed; when q divides 2g+1, the
+    polynomials in x^q - x are fixed.
     """
     allowed = [q] if (2 * g + 1) % q else [1, q]
     total = EnsembleSpec(q, g).count
-    if not np.isin(sizes, allowed).all() or int(sizes.sum()) != total:
+    order = q * (q - 1)
+    if not (np.isin(translation_sizes, allowed).all()
+            and int(translation_sizes.sum()) == total
+            and (sizes >= 1).all() and not (order % sizes).any()
+            and int(sizes.sum()) == total):
         raise ArithmeticError(
-            f"translation orbit sizes at q={q}, g={g} are not all in {allowed} "
-            f"with sum {total}")
+            f"orbit sizes at q={q}, g={g}: translation sizes must lie in {allowed}, "
+            f"AGL sizes must divide {order}, and each must sum to {total}")
 
 
 # -- exact ensemble averages ---------------------------------------------------
@@ -802,17 +914,17 @@ def prime_term_moment(decomp, k, l):
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
     values, counts = distinct_rows(decomp.c[:, [k]])
-    z_k = decomp.z[:, k].astype(np.int64)
-    pi_k = irreducible_count(q, k)
+    # sum over curves of pi_k - z_k, in Python ints: n pi_k passes 2^63 at
+    # (3, 1) from k = 41 on; the int64 sum of z_k is at most n (2g+1)
+    unit_total = n * irreducible_count(q, k) - int(decomp.z[:, k].sum(dtype=np.int64))
     if l == 0:
         p_power = Fraction(1)
     else:
         tot = sum(cnt * v ** (2 * l) for (v,), cnt in zip(values, counts))
         p_power = Fraction(k ** (2 * l) * tot, n * q ** (l * k))
-    delta2 = Fraction(k ** 2 * int((pi_k - z_k).sum()), n * q ** k)
+    delta2 = Fraction(k ** 2 * unit_total, n * q ** k)
     # ordered distinct pairs: (sum chi)^2 - sum chi^2
-    pair_tot = (sum(cnt * v * v for (v,), cnt in zip(values, counts))
-                - int((pi_k - z_k).sum()))
+    pair_tot = sum(cnt * v * v for (v,), cnt in zip(values, counts)) - unit_total
     p2_tuple = Fraction(k ** 2 * pair_tot, n * q ** k)
     return PrimeTermReport(q=q, g=data.g, k=k, l=l, curves=n,
                            p_power_mean=p_power, delta2_mean=delta2,

@@ -86,6 +86,10 @@ class ExperimentConfig:
             raise ConfigError(f"N must be >= 0, got {self.N}")
         if any(d < 1 for d in self.degrees):
             raise ConfigError("degrees must be >= 1")
+        if self.alpha_max < 0:
+            raise ConfigError(f"alpha-max must be >= 0, got {self.alpha_max}")
+        if self.beta_max is not None and self.beta_max < 0:
+            raise ConfigError(f"beta-max must be >= 0, got {self.beta_max}")
 
     def g_range(self):
         hi = self.g_max if self.g_max is not None else self.g

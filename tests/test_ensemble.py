@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -220,46 +221,161 @@ class TestEngine:
                                   np.zeros((1, 32), np.int16))
 
 
+def _agl_oracle(q, g):
+    """Per curve of the ensemble, the least code among all q(q-1) images
+    l^-(2g+1) Q(l x + b), by direct binomial expansion of each image:
+    its x^j coefficient is l^(j-2g-1) sum_i a_i C(i, j) b^(i-j) mod q.
+    Also returns, per curve, whether some non-square l maps it to itself.
+    The float64 matmul is exact: its entries stay below (2g+2)(q-1)^2."""
+    D = 2 * g + 1
+    codes = ens.squarefree_codes(q, g)
+    rows = pf.monic_rows(codes, D, q).astype(np.float64)
+    weights = np.float64(q) ** np.arange(D)
+    least = np.full(len(codes), np.inf)
+    fixed = np.zeros(len(codes), bool)
+    for l in range(1, q):
+        for b in range(q):
+            matrix = np.array([[pow(l, (j - D) % (q - 1), q) * math.comb(i, j) * b ** (i - j) % q
+                                if j <= i else 0 for j in range(D)] for i in range(D + 1)],
+                              np.float64)
+            image = (rows @ matrix % q) @ weights
+            least = np.minimum(least, image)
+            if legendre(l, q) == -1:
+                fixed |= image == codes
+    return codes, least.astype(np.int64), fixed
+
+
+# q is prime to 2g+1 at the first seven and the last three, and divides it
+# at the four between
+ORBIT_POINTS = [(3, 2), (3, 3), (5, 1), (5, 3), (7, 2), (11, 2), (13, 2),
+                (3, 1), (3, 4), (5, 2), (7, 3), (7, 1), (11, 1), (13, 1)]
+# orbit counts pinned where the route test runs and the oracle does not,
+# and at (5, 3)
+PINNED_ORBIT_COUNTS = {(11, 2): 1345, (13, 2): 2211, (5, 3): 3146}
+# where the oracle makes every image of every curve in well under a second
+ORACLE_POINTS = [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2),
+                 (11, 1), (13, 1)]
+
+
 class TestTranslationOrbits:
-    @pytest.mark.parametrize("q,g", [(3, 2), (3, 3), (5, 1), (5, 3), (7, 2), (11, 2), (13, 2),
-                                     (3, 1), (3, 4), (5, 2), (7, 3)])
-    def test_orbit_route_equals_a_full_engine_pass(self, q, g):
-        # the first seven have q prime to 2g+1, the last four q | 2g+1
+    """The AGL(1, q) orbits: translations, then the scaling twist."""
+
+    @pytest.mark.parametrize("q,g", ORBIT_POINTS)
+    def test_orbit_route_equals_a_full_engine_pass(self, q, g, monkeypatch):
         N = 2 * g + 2
+        traced = []
+        traces = ens.TraceEngine.traces
+        monkeypatch.setattr(ens.TraceEngine, "traces",
+                            lambda engine, coeffs: traced.append(len(coeffs))
+                            or traces(engine, coeffs))
         data = ens.compute_ensemble_data(q, g, N)
+        monkeypatch.undo()
         full = ens.TraceEngine(q, g, N).traces(data.coeffs)
         assert data.s.dtype == full.dtype and np.array_equal(data.s, full)
         codes = ens.squarefree_codes(q, g)
-        reps, orbit = ens.translation_orbits(q, g, data.coeffs)
-        rows_of_reps = np.searchsorted(codes, reps)
-        assert np.array_equal(codes[rows_of_reps], reps)  # curves of the ensemble
-        assert np.array_equal(orbit[rows_of_reps], np.arange(len(reps)))  # each in its orbit
-        fixed = np.count_nonzero(np.bincount(orbit) == 1)
+        orbits = ens.agl_orbits(q, g, codes, data.coeffs)
+        assert traced == [len(orbits.reps)]  # the engine sees the representatives only
+        assert len(orbits.reps) == PINNED_ORBIT_COUNTS.get((q, g), len(orbits.reps))
+        rows_of_reps = np.searchsorted(codes, orbits.reps)
+        assert np.array_equal(codes[rows_of_reps], orbits.reps)  # curves of the ensemble
+        assert np.all(np.diff(orbits.reps) > 0)
+        # the distinct translates of the transversal rows partition the ensemble
+        ordered = np.sort(orbits.translate_rows, axis=0)
+        first = np.ones(ordered.shape, bool)
+        first[1:] = ordered[1:] != ordered[:-1]
+        assert np.array_equal(np.sort(ordered[first]), np.arange(len(codes)))
+        assert np.array_equal(first.sum(axis=0), orbits.translation_sizes)
+        assert orbits.sizes.sum() == len(codes)
+        fixed = np.count_nonzero(orbits.translation_sizes == 1)
         assert (fixed > 0) == ((2 * g + 1) % q == 0)
+        assert set(np.unique(orbits.twist)) <= {-1, 1}
+        # a representative is its own transversal row, with no twist
+        t_codes = codes[orbits.translate_rows[0]]
+        own = np.searchsorted(t_codes, orbits.reps)
+        assert np.array_equal(t_codes[own], orbits.reps)
+        assert np.array_equal(orbits.rep_of[own], np.arange(len(orbits.reps)))
+        assert (orbits.twist[own] == 1).all()
+
+    @pytest.mark.parametrize("q,g", ORACLE_POINTS)
+    def test_representatives_are_the_least_codes_of_their_orbits(self, q, g):
+        codes, least, fixed = _agl_oracle(q, g)
+        orbits = ens.agl_orbits(q, g, codes, pf.monic_rows(codes, 2 * g + 1, q))
+        reps, sizes = np.unique(least, return_counts=True)
+        assert np.array_equal(orbits.reps, reps)
+        assert np.array_equal(orbits.sizes, sizes)
+        assert np.array_equal(orbits.fixed, fixed[np.searchsorted(codes, reps)])
+        # l = -1 is a non-square when q = 3 mod 4; it fixes the odd
+        # polynomials, Q(-x) = -Q(x)
+        if q % 4 == 3:
+            assert orbits.fixed.any()
 
     @pytest.mark.parametrize("q,g", [(3, 2), (3, 1)])
     def test_corrupted_orbit_sizes_are_refused(self, q, g):
-        coeffs = pf.monic_rows(ens.squarefree_codes(q, g), 2 * g + 1, q)
-        sizes = np.bincount(ens.translation_orbits(q, g, coeffs)[1])
-        ens.check_orbit_sizes(q, g, sizes)
+        codes = ens.squarefree_codes(q, g)
+        orbits = ens.agl_orbits(q, g, codes, pf.monic_rows(codes, 2 * g + 1, q))
+        t_sizes, sizes = orbits.translation_sizes, orbits.sizes
+        ens.check_orbit_sizes(q, g, t_sizes, sizes)
         short = sizes.copy()
         short[0] -= 1
-        for bad in (short, np.append(sizes, 1)):
+        # the same sum in sizes that do not all divide the group order
+        total = int(sizes.sum())
+        k = next(k for k in itertools.count(2) if (q * (q - 1)) % k)
+        nondividing = np.array([k] + [1] * (total - k))
+        for bad in (short, np.append(sizes, 1), nondividing, np.append(sizes, 0)):
             with pytest.raises(ArithmeticError, match="orbit sizes"):
-                ens.check_orbit_sizes(q, g, bad)
-        # q fixed curves in place of one orbit keep the total
-        split = np.append(sizes[1:], [1] * q)
+                ens.check_orbit_sizes(q, g, t_sizes, bad)
+        ens.check_orbit_sizes(q, g, t_sizes, np.ones(total, np.int64))
+        for bad in (t_sizes[1:], np.append(t_sizes, q)):
+            with pytest.raises(ArithmeticError, match="orbit sizes"):
+                ens.check_orbit_sizes(q, g, bad, sizes)
+        # q fixed curves in place of one translation orbit keep the total
+        split = np.append(t_sizes[1:], [1] * q)
         if (2 * g + 1) % q:
             with pytest.raises(ArithmeticError, match="orbit sizes"):
-                ens.check_orbit_sizes(q, g, split)
+                ens.check_orbit_sizes(q, g, split, sizes)
         else:
-            ens.check_orbit_sizes(q, g, split)
+            ens.check_orbit_sizes(q, g, split, sizes)
 
     def test_untranslated_rows_trip_the_invariant(self, monkeypatch):
-        # every row its own representative: orbits of one curve at (3, 2)
+        # every row its own translate: orbits of one curve at (3, 2)
         monkeypatch.setattr(ens, "translates", lambda rows, p: rows[:, None].astype(np.int32))
         with pytest.raises(ArithmeticError, match="orbit sizes"):
             ens.compute_ensemble_data(3, 2, 6)
+
+    @pytest.mark.parametrize("q,g", [(3, 2), (5, 2), (7, 1), (13, 2)])
+    def test_a_dropped_twist_sign_trips_the_odd_column_sums(self, q, g, monkeypatch,
+                                                           tmp_path, capsys):
+        monkeypatch.setattr(ens, "legendre_table", lambda p: (0,) + (1,) * (p - 1))
+        with pytest.raises(ArithmeticError, match="twist sign is lost"):
+            ens.compute_ensemble_data(q, g, 2 * g + 2)
+        code = main(["moment", "--q", str(q), "--g", str(g), "--spec", "(1,2)",
+                     "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path)])
+        assert code == 1
+        assert "invariant failure: " in capsys.readouterr().out
+        assert not (tmp_path / "cache").exists()
+
+    def test_an_odd_trace_on_a_fixed_orbit_is_refused(self, monkeypatch):
+        traces = ens.TraceEngine.traces
+
+        def shifted(engine, coeffs):
+            s = traces(engine, coeffs)
+            s[:, 0] += 2  # keeps every odd column's sum over an unfixed orbit at 0
+            return s
+
+        monkeypatch.setattr(ens.TraceEngine, "traces", shifted)
+        with pytest.raises(ArithmeticError, match="fixed by a non-square"):
+            ens.compute_ensemble_data(3, 2, 6)
+
+    @pytest.mark.parametrize("q,g", [(3, 2), (3, 1)])
+    def test_an_unwritten_curve_is_refused(self, q, g):
+        codes = ens.squarefree_codes(q, g)
+        orbits = ens.agl_orbits(q, g, codes, pf.monic_rows(codes, 2 * g + 1, q))
+        s_reps = ens.TraceEngine(q, g, 4).traces(pf.monic_rows(orbits.reps, 2 * g + 1, q))
+        orbits.scatter(s_reps)
+        lost = orbits.translate_rows.copy()
+        lost[1] = lost[0]  # the t = 1 translates are never written
+        with pytest.raises(ArithmeticError, match="wrote"):
+            dataclasses.replace(orbits, translate_rows=lost).scatter(s_reps)
 
     def test_verify_fails_every_curve_of_a_flipped_representative(self, tmp_path,
                                                                    monkeypatch, capsys):
@@ -275,7 +391,10 @@ class TestTranslationOrbits:
         assert code == 1
         line, = [ln for ln in capsys.readouterr().out.splitlines() if "engine agreement" in ln]
         assert line.startswith("  [FAIL] engine agreement: vectorized pipeline")
-        assert "; 3 of 162 failed, first curve" in line
+        # the flipped row is the least curve's: every curve of its orbit fails
+        _codes, least, _fixed = _agl_oracle(3, 2)
+        assert least[0] == least.min()
+        assert f"; {np.count_nonzero(least == least[0])} of 162 failed, first curve 0:" in line
 
 
 def _tabulate(func, g, q=3):
@@ -598,6 +717,46 @@ class TestPrimeTermMoment:
     def test_l_zero_is_one(self, data_g2):
         decomp = ens.DecompositionData.build(data_g2)
         assert ens.prime_term_moment(decomp, 2, 0).p_power_mean == 1
+
+    def test_exact_where_pi_k_passes_int64(self, tmp_path, capsys):
+        # at (3, 1) the sum of pi_k over the 18 curves passes 2^63 from
+        # k = 41 on, and pi_k itself from k = 44 on; the oracle takes every
+        # curve's traces from its L-polynomial and the prime sums c_k from
+        # the explicit formula, all in Python ints
+        q, g, ks = 3, 1, range(38, 45)
+        data = ens.compute_ensemble_data(q, g, max(ks))
+        decomp = ens.DecompositionData.build(data)
+        curves = [data.curve(i) for i in range(data.count)]
+        assert 18 * pf.irreducible_count(q, 40) < 2 ** 63 <= 18 * pf.irreducible_count(q, 41)
+        assert pf.irreducible_count(q, 43) < 2 ** 63 <= pf.irreducible_count(q, 44)
+        c, z = [], []
+        for curve in curves:
+            A = lf.dirichlet_coefficients(curve.Q, q, strategy="enumerate")
+            s = lf.traces_from_lpoly(lf.complete_l(curve, A), max(ks))
+            degrees = [pf.degree(P) for P, _m in pf.factorize(curve.Q, q).factors]
+            zc = {k: degrees.count(k) for k in range(1, max(ks) + 1)}
+            cc = {}
+            for k in range(1, max(ks) + 1):
+                part = sum(d * (cc[d] if (k // d) % 2 else pf.irreducible_count(q, d) - zc[d])
+                           for d in range(1, k) if k % d == 0)
+                cc[k], rem = divmod(-s[k - 1] - part, k)
+                assert rem == 0
+            c.append(cc)
+            z.append(zc)
+        n = len(curves)
+        for k in ks:
+            free = sum(pf.irreducible_count(q, k) - zc[k] for zc in z)
+            for l in (1, 2):
+                rep = ens.prime_term_moment(decomp, k, l)
+                assert rep.delta2_mean == Fraction(k ** 2 * free, n * q ** k)
+                assert rep.p2_tuple_mean == Fraction(
+                    k ** 2 * (sum(cc[k] ** 2 for cc in c) - free), n * q ** k)
+                assert rep.p_power_mean == Fraction(
+                    k ** (2 * l) * sum(cc[k] ** (2 * l) for cc in c), n * q ** (l * k))
+        for k in (41, 44):
+            assert main(["decompose", "--q", "3", "--g", "1", "--k", str(k),
+                         "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path)]) == 0
+            assert f"<delta2> +{k}.000000 (ref {k})" in capsys.readouterr().out
 
     @pytest.mark.parametrize("l", [1, 2])
     def test_matches_per_curve_loop(self, data_g2, genus2_large_q, l):

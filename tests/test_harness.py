@@ -109,6 +109,20 @@ class TestExitCodes:
             assert "config error: degrees must be >= 1" in capsys.readouterr().err
         assert not list(tmp_path.glob("sigma*"))
 
+    def test_negative_ranges_are_config_errors(self, tmp_path, capsys):
+        for command, flag, name in (("sigma", "--alpha-max", "alpha-max"),
+                                    ("charsum", "--beta-max", "beta-max")):
+            assert run_cli([command, "--q", "3", flag, "-1", "--out", str(tmp_path)]) == 2
+            assert f"config error: {name} must be >= 0, got -1" in capsys.readouterr().err
+            assert not list(tmp_path.glob(f"{command}*"))
+            # the least range, alpha = 0 or beta = 0 alone, still runs
+            assert run_cli([command, "--q", "3", flag, "0", "--format", "json",
+                            "--out", str(tmp_path)]) == 0
+            rows = json.loads((tmp_path / f"{command}_q3.json").read_text())
+            assert len(rows) == 1
+        with pytest.raises(harness.ConfigError):
+            harness.ExperimentConfig(command="sigma", alpha_max=-1)
+
     def test_negative_l_is_a_config_error(self, tmp_path, capsys):
         code = run_cli(["decompose", "--q", "3", "--g", "1", "--l", "-1",
                         "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path)])

@@ -46,7 +46,6 @@ from .charsym import jacobi_symbol, legendre_table
 from .exact import HalfPowerRational
 from .lfunction import Curve, prime_symbols, symbol_power_sum
 from .polyfield import (
-    ResidueField,
     check_field,
     degree,
     digit_codes,
@@ -59,6 +58,7 @@ from .polyfield import (
     monic_polys,
     monic_rows,
     poly_mul,
+    prime_residues,
     translates,
 )
 
@@ -162,22 +162,17 @@ def squarefree_codes(q, g, budget=DEFAULT_BUDGET):
 # -- vectorized trace engine ---------------------------------------------------
 
 CHUNK_ROWS = 2 ** 11  # rows per kernel pass; fixed, so no result depends on it
-FLOAT32_EXACT = 2 ** 24
 
 
 class TraceEngine:
     """Exact batch pipeline from curve coefficients to scaled traces.
 
-    The residue kernel, for each degree d <= g: one float32 matmul of the
-    coefficient rows against the stacked reduction matrices (x^i mod P) of
-    all degree-d primes P gives the digits of Q mod P, an int16 remainder
-    reduces them, d-1 multiply-adds make a residue code, and one flat take
-    into the stacked character tables gives chi_Q(P); both tables come
-    from each prime's `ResidueField`.  Row sums give c_d,
-    the sum of chi_Q over the degree-d primes, and z_d, how many divide Q.
-    The matmul is exact: its entries are integers of at most (2g+2)(q-1)^2,
-    and construction refuses (q, g) where that reaches 2^24.  It also
-    refuses N past `_check_newton_depth`.
+    The residue kernel, for each degree d <= g: `polyfield.prime_residues`
+    gives chi_Q(P) at every degree-d prime P, and row sums give c_d, the
+    sum of chi_Q over the degree-d primes, and z_d, how many divide Q.
+    Those maps are memoized per (q, d, 2g+2), so only the first engine at a
+    point builds tables.  Construction refuses (q, g) where their float32
+    products (2g+2)(q-1)^2 reach 2^24, and N past `_check_newton_depth`.
 
     The explicit formula -s_n = n c_n + `_prime_power_part` gives s_n for
     n <= g; `coefficients_from_traces` and `_newton_matrix` do the rest.
@@ -185,24 +180,9 @@ class TraceEngine:
 
     def __init__(self, q, g, N):
         check_field(q)
-        bound = (2 * g + 2) * (q - 1) ** 2
-        if bound >= FLOAT32_EXACT:
-            raise ValueError(
-                f"residue products reach (2g+2)(q-1)^2 = {bound} >= 2^24 at q={q}, "
-                f"g={g}; float32 would not hold them exactly")
         _check_newton_depth(q, g, N)
         self.q, self.g, self.N = q, g, N
-        self.residue_dtype = np.int16 if bound < 2 ** 15 else np.int32
-        table = get_prime_table(q, max(g, 1))
-        # per degree d: stacked reduction matrices and character tables, and
-        # the first code of each prime's table
-        self.stacks = []
-        for d in range(1, g + 1):
-            fields = [ResidueField(prime, q) for prime in table.irreducibles(d)]
-            red = np.hstack([field.rows(2 * g + 2) for field in fields])
-            chars = np.concatenate([field.chars for field in fields])
-            base = q ** d * np.arange(len(fields), dtype=np.min_scalar_type(-chars.size))
-            self.stacks.append((d, red.astype(np.float32), chars, base))
+        self.residues = [prime_residues(q, d, 2 * g + 2) for d in range(1, g + 1)]
 
     def coefficients(self, coeffs):
         """Completed L-coefficient rows A(0..2g), int64 exact."""
@@ -216,23 +196,12 @@ class TraceEngine:
         """The residue kernel on one chunk: (c, z), each (rows, g+1) int64,
         with c[:, d] the sum of chi_Q and z[:, d] the number of zeros of
         chi_Q over the degree-d primes; column 0 is unused."""
-        q = self.q
-        n = coeffs.shape[0]
-        c = np.zeros((n, self.g + 1), np.int64)
-        z = np.zeros((n, self.g + 1), np.int64)
-        cf = coeffs.astype(np.float32)
-        for d, red, chars, base in self.stacks:
-            digits = (cf @ red).astype(self.residue_dtype)
-            digits -= q * (digits // q)  # remainder; `//` by a scalar is the fast ufunc
-            digits = digits.reshape(n, len(base), d)
-            code = digits[:, :, d - 1].astype(base.dtype)
-            for i in range(d - 2, -1, -1):
-                code *= q
-                code += digits[:, :, i]
-            code += base
-            chi = chars.take(code)
+        c = np.zeros((coeffs.shape[0], self.g + 1), np.int64)
+        z = np.zeros_like(c)
+        for d, residues in enumerate(self.residues, 1):
+            chi = residues(coeffs)
             c[:, d] = chi.sum(axis=1, dtype=np.int64)
-            z[:, d] = len(base) - np.count_nonzero(chi, axis=1)
+            z[:, d] = chi.shape[1] - np.count_nonzero(chi, axis=1)
         return c, z
 
     def _coefficient_rows(self, coeffs):

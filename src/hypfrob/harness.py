@@ -34,7 +34,7 @@ from .lfunction import (
     traces_from_eigenphases,
     traces_from_lpoly,
 )
-from .polyfield import ResidueField, digit_codes, get_prime_table, monic_rows, poly
+from .polyfield import get_prime_table, monic_rows, poly, prime_residues
 
 CACHE_ENV = "HYPFROB_CACHE_DIR"
 PAIRS_PER_PASS = 2 ** 20  # (modulus, prime) pairs per batched symbol pass: ~1 MB of int8
@@ -80,6 +80,8 @@ class ExperimentConfig:
             self.cache_dir = os.environ.get(CACHE_ENV, ".hypfrob-cache")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.fmt!r}")
+        if self.g < 1:
+            raise ConfigError("genus must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.N is not None and self.N < 0:
@@ -90,6 +92,8 @@ class ExperimentConfig:
             raise ConfigError(f"alpha-max must be >= 0, got {self.alpha_max}")
         if self.beta_max is not None and self.beta_max < 0:
             raise ConfigError(f"beta-max must be >= 0, got {self.beta_max}")
+        if self.k is not None and self.k < 1:
+            raise ConfigError(f"k must be >= 1, got {self.k}")
 
     def g_range(self):
         hi = self.g_max if self.g_max is not None else self.g
@@ -177,29 +181,19 @@ def _battery(q, g):
     at genus g, each an int64 table over the monic codes of degree 2g+1,
     total on all monic arguments.  Each table is a product of the columns
     (M/x), (M/(x+1)) and the explicit sums t_1..t_3 over every such M in
-    code order.  For a prime P of degree <= 3, (M/P) is the quadratic
-    character of M mod P: P's `ResidueField.chars` at the residue code of
-    M, whose digits are M's coefficient row times the rows x^i mod P.  The
-    check compares two averages of the same tables, so these symbols need
-    no route of their own."""
+    code order.  For a prime P of degree <= 3, (M/P) comes from
+    `polyfield.prime_residues`, the trace engine's kernel, on M's
+    coefficient row.  The check compares two averages of the same tables,
+    so these symbols need no route of their own."""
     table = get_prime_table(q, 3)
     linear = table.irreducibles(1)
     at_x, at_x1 = linear.index(poly((0, 1), q)), linear.index(poly((1, 1), q))
     degree = 2 * g + 1
-    dtype = np.min_scalar_type((degree + 1) * (q - 1) ** 2)  # holds each residue digit sum
-    stacks = {}  # per prime degree d: stacked rows x^i mod P, and the character tables
-    for d in (1, 2, 3):
-        fields = [ResidueField(prime, q) for prime in table.irreducibles(d)]
-        stacks[d] = (np.hstack([field.rows(degree + 1) for field in fields]).astype(dtype),
-                     np.stack([field.chars for field in fields]))
     codes = np.arange(q ** degree)
     cols = np.empty((5, len(codes)), np.int64)  # chi(x), chi(x+1), t1, t2, t3
     for part in _passes(len(codes), sum(table.counts[d] for d in (1, 2, 3))):
-        rows = monic_rows(codes[part], degree, q).astype(dtype)
-        symbols = {}
-        for d, (reduction, chars) in stacks.items():
-            residues = (rows @ reduction % q).reshape(len(rows), len(chars), d)
-            symbols[d] = chars[np.arange(len(chars)), digit_codes(residues, q)]
+        rows = monic_rows(codes[part], degree, q)
+        symbols = {d: prime_residues(q, d, degree + 1)(rows) for d in (1, 2, 3)}
         cols[:, part] = [symbols[1][:, at_x], symbols[1][:, at_x1],
                          *(explicit_sum(symbols, n) for n in (1, 2, 3))]
     factors = (("one", ()), ("chi(x)", (0,)), ("chi(x+1)", (1,)), ("chi(x)^2", (0, 0)),
@@ -556,7 +550,7 @@ def _cmd_moment(config):
 def _cmd_decompose(config):
     lines, paths = [], []
     for g in config.g_range():
-        ks = [config.k] if config.k else list(range(2, min(2 * g + 2, 10)))
+        ks = [config.k] if config.k is not None else list(range(2, min(2 * g + 2, 10)))
         N = config.N if config.N is not None else max(ks)
         data, _ = load_or_compute_data(config.q, g, max(N, max(ks)),
                                        cache_dir=config.cache_dir, budget=config.budget)

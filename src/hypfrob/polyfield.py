@@ -209,23 +209,37 @@ def monic_rows(codes, d, p):
     return rows
 
 
-def translates(rows, p):
-    """Digit rows f(x+t), t = 0..p-1, of the coefficient rows f (lowest
-    first) of the (n, k) array `rows`: an (n, p, k) array of the smallest
-    unsigned dtype that holds the matmul entries.
+def _float32_bound(k, p):
+    """k (p-1)^2, the largest entry of a product of length-k digit rows and
+    columns mod p; refused where float32 would not hold it exactly."""
+    bound = k * (p - 1) ** 2
+    if bound >= 2 ** 24:
+        raise ValueError(f"matmul entries reach k(p-1)^2 = {bound} >= 2^24 at p={p}, k={k}; "
+                         f"float32 would not hold them exactly")
+    return bound
 
-    f(x+t) has coefficients sum_i f_i C(i, j) t^(i-j) mod p: one float32
-    matmul against `_translate_matrix`.  It is exact because its entries
-    are integers of at most k (p-1)^2; row lengths where that reaches 2^24
-    are refused.
+
+def matmul_mod(rows, matrix, p):
+    """rows @ matrix mod p, for digit arrays with entries in [0, p), in the
+    smallest unsigned dtype that holds the products.
+
+    One float32 matmul: exact, as its entries are integers of at most
+    k (p-1)^2, k the inner length, and refused where that reaches 2^24.
     """
-    n, k = rows.shape
-    if k * (p - 1) ** 2 >= 2 ** 24:
-        raise ValueError(f"translate products reach k(p-1)^2 >= 2^24 at p={p}, k={k}")
-    out = (rows.astype(np.float32) @ _translate_matrix(p, k)).reshape(n, p, k)
-    out = out.astype(np.min_scalar_type(k * (p - 1) ** 2))
+    bound = _float32_bound(matrix.shape[0], p)
+    out = rows.astype(np.float32) @ matrix.astype(np.float32, copy=False)
+    out = out.astype(np.min_scalar_type(bound))
     out -= p * (out // p)  # remainder; `//` by a scalar is the fast ufunc
     return out
+
+
+def translates(rows, p):
+    """Digit rows f(x+t), t = 0..p-1, of the coefficient rows f (lowest
+    first) of the (n, k) array `rows`, as an (n, p, k) array: f(x+t) has
+    coefficients sum_i f_i C(i, j) t^(i-j) mod p, one `matmul_mod`
+    against `_translate_matrix`."""
+    n, k = rows.shape
+    return matmul_mod(rows, _translate_matrix(p, k), p).reshape(n, p, k)
 
 
 @functools.lru_cache(maxsize=None)
@@ -341,7 +355,6 @@ class PrimeTable:
         self.q = q
         self.max_degree = max_degree
         self.by_degree = by_degree  # degree -> tuple of polys
-        self._sets = {d: frozenset(ps) for d, ps in by_degree.items()}
         self.counts = {d: len(ps) for d, ps in by_degree.items()}
 
     @classmethod
@@ -372,10 +385,7 @@ class PrimeTable:
             return False
         if not is_monic(f):
             f = make_monic(f, self.q)[0]
-        if d <= self.max_degree:
-            return f in self._sets[d]
-        # beyond the table, factorize asks the memo for primes of degree <= d/2
-        return factorize(f, self.q).factors == ((f, 1),)
+        return factorize(f, self.q, self).factors == ((f, 1),)
 
     def primes_up_to(self, max_deg):
         for d in range(1, max_deg + 1):
@@ -532,3 +542,26 @@ class ResidueField:
             acc = self.mul(acc, x)
             acc[..., 0] = (acc[..., 0] + c) % self.q
         return acc
+
+
+@functools.lru_cache(maxsize=None)
+def prime_residues(q, d, width):
+    """The map from an (n, width) stack of coefficient rows Q (lowest first)
+    to the (n, pi_d) int8 array of chi_Q(P) = (Q / P) over the monic primes
+    P of degree d, in table order.
+
+    The digits of Q mod P are Q's row times the rows x^i mod P: one
+    `matmul_mod` against those rows stacked over every P, refused before
+    any table is built where its products reach 2^24.  Their residue code
+    is a flat index into the stacked `ResidueField.chars`.
+    """
+    _float32_bound(width, q)
+    fields = [ResidueField(prime, q) for prime in get_prime_table(q, d).irreducibles(d)]
+    reduction = np.hstack([field.rows(width) for field in fields]).astype(np.float32)
+    chars = np.concatenate([field.chars for field in fields])
+    base = q ** d * np.arange(len(fields))
+
+    def residues(rows):
+        digits = matmul_mod(rows, reduction, q).reshape(len(rows), len(fields), d)
+        return chars.take(digit_codes(digits, q) + base)
+    return residues

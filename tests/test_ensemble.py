@@ -72,17 +72,27 @@ class TestEngine:
             ld = lf.complete_l(curve, A)
             assert list(data.s[i]) == lf.traces_from_lpoly(ld, N)
 
-    def test_int32_residues_where_int16_would_wrap(self):
+    def test_int32_residues_where_int16_would_wrap(self, monkeypatch):
         # q = 137 is the least prime where a g = 1 residue digit can reach
         # 2^15; the ensemble needs --budget above 2,571,353 candidates
         q, g, N = 137, 1, 4
         engine = ens.TraceEngine(q, g, N)
-        assert engine.residue_dtype == np.int32
         rows = [Q + (1,) for Q in itertools.product((q - 2, q - 1), repeat=2 * g + 1)
                 if pf.is_squarefree(Q + (1,), q)]
         coeffs = np.array(rows, np.uint8)
-        assert (coeffs.astype(np.int64) @ engine.stacks[0][1].astype(np.int64)).max() >= 2 ** 15
+        kernel, passes = pf.matmul_mod, []
+
+        def recorded(rows, matrix, p):
+            out = kernel(rows, matrix, p)
+            passes.append((int((rows.astype(np.int64) @ matrix.astype(np.int64)).max()),
+                           out.dtype))
+            return out
+
+        monkeypatch.setattr(pf, "matmul_mod", recorded)
         s = engine.traces(coeffs)
+        assert passes  # the kernel ran through `matmul_mod`
+        assert max(top for top, _dtype in passes) >= 2 ** 15
+        assert all(dtype.itemsize * 8 > 16 for _top, dtype in passes)
         for i, Q in enumerate(rows):
             curve = lf.Curve(q=q, g=g, Q=Q)
             A = lf.dirichlet_coefficients(curve.Q, curve.q, strategy="enumerate")
@@ -124,6 +134,22 @@ class TestEngine:
         engine._symbol_sums = perturbed
         with pytest.raises(ArithmeticError, match="inverse Newton"):
             engine.coefficients(data_g2.coeffs)
+
+    def test_a_second_engine_builds_no_tables(self, data_q5g1, monkeypatch,
+                                              fresh_prime_residues):
+        init, built = pf.ResidueField.__init__, []
+
+        def counted(field, prime, q):
+            built.append(prime)
+            init(field, prime, q)
+
+        monkeypatch.setattr(pf.ResidueField, "__init__", counted)
+        first = ens.TraceEngine(5, 1, data_q5g1.N)
+        assert len(built) == pf.irreducible_count(5, 1)
+        second = ens.TraceEngine(5, 1, data_q5g1.N)
+        assert len(built) == pf.irreducible_count(5, 1)
+        assert np.array_equal(second.traces(data_q5g1.coeffs), data_q5g1.s)
+        assert np.array_equal(first.traces(data_q5g1.coeffs), data_q5g1.s)
 
     def test_float32_bound_refused_before_tables(self, monkeypatch):
         def no_tables(*_args):

@@ -129,6 +129,26 @@ class TestExitCodes:
         assert code == 2
         assert "l must be >= 0" in capsys.readouterr().err
 
+    def test_genus_below_one_is_a_config_error(self, tmp_path, capsys):
+        for command in ("rmt", "moment"):
+            for g in ("0", "-1"):
+                code = run_cli([command, "--q", "3", "--g", g, "--cache-dir",
+                                str(tmp_path / "cache"), "--out", str(tmp_path)])
+                assert code == 2
+                assert "config error: genus must be >= 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())  # no report row for USp(0), no cache
+
+    def test_k_below_one_is_a_config_error(self, tmp_path, capsys):
+        for k in ("0", "-1"):
+            code = run_cli(["decompose", "--q", "3", "--g", "1", "--k", k, "--cache-dir",
+                            str(tmp_path / "cache"), "--out", str(tmp_path)])
+            assert code == 2
+            assert f"config error: k must be >= 1, got {k}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())  # refused before the default k list runs
+        assert run_cli(["decompose", "--q", "3", "--g", "1", "--k", "1", "--cache-dir",
+                        str(tmp_path / "cache"), "--out", str(tmp_path)]) == 0
+        assert "decompose q=3 g=1 k=1:" in capsys.readouterr().out
+
     def test_nonpositive_moment_count_is_a_config_error(self, tmp_path, capsys):
         for m in ("0", "-1"):
             code = run_cli(["linstat", "--q", "3", "--g", "1", "--moments", m,
@@ -282,7 +302,8 @@ def test_a_flipped_kernel_symbol_fails_the_dual_trace_paths(tmp_path, capsys, mo
     assert line in [ln.strip() for ln in capsys.readouterr().out.splitlines()]
 
 
-def test_a_flipped_character_fails_the_point_counts(tmp_path, capsys, monkeypatch):
+def test_a_flipped_character_fails_the_point_counts(tmp_path, capsys, monkeypatch,
+                                                   fresh_prime_residues):
     # flip chi(1) in F_9: at q = 3, g = 1 the point counts and the dual-average
     # battery read a degree-2 character table (the engine's primes stop at
     # degree g = 1); the battery compares two averages of the same tables, so

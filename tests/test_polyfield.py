@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypfrob import polyfield as pf
+from hypfrob.charsym import jacobi_symbols
 
 FIELDS = (3, 5, 7, 11, 13)
 
@@ -265,6 +266,58 @@ class TestTranslates:
     def test_digit_codes_invert_codes_to_digits(self):
         codes = np.arange(5 ** 4)
         assert np.array_equal(pf.digit_codes(pf.codes_to_digits(codes, 4, 5), 5), codes)
+
+
+class TestResidueKernel:
+    @pytest.mark.parametrize("p,k", [(3, 7), (13, 6), (137, 6), (2039, 4)])
+    def test_matmul_mod_matches_integer_matmul(self, p, k):
+        rng = np.random.default_rng(p)
+        rows, matrix = rng.integers(0, p, (40, k)), rng.integers(0, p, (k, 9))
+        rows[0], matrix[:, 0] = p - 1, p - 1  # the largest product, k (p-1)^2
+        out = pf.matmul_mod(rows, matrix, p)
+        assert out.dtype == np.min_scalar_type(k * (p - 1) ** 2)
+        assert np.array_equal(out, rows @ matrix % p)
+
+    def test_matmul_mod_refused_exactly_at_2_pow_24(self):
+        # k (p-1)^2 = 255 * 256^2 < 2^24 = 256 * 256^2 at p = 257
+        p = 257
+        for k in (255, 256):
+            rows, matrix = np.full((1, k), p - 1), np.full((k, 1), p - 1)
+            if k * (p - 1) ** 2 < 2 ** 24:
+                assert pf.matmul_mod(rows, matrix, p).tolist() == [[k * (p - 1) ** 2 % p]]
+            else:
+                with pytest.raises(ValueError, match="2\\^24"):
+                    pf.matmul_mod(rows, matrix, p)
+
+    @pytest.mark.parametrize("q,d,width,count", [
+        (3, 1, 5, None), (3, 2, 5, None), (3, 3, 5, None), (13, 2, 6, 150), (137, 1, 6, 60)])
+    def test_prime_residues_match_jacobi_symbols(self, q, d, width, count):
+        # every row of `width` digits at q = 3, else `count` random rows and
+        # the all-(q-1) row, against every prime of degree d
+        if count is None:
+            rows = pf.codes_to_digits(np.arange(q ** width), width, q)
+        else:
+            rows = np.random.default_rng(q).integers(0, q, (count, width)).astype(np.uint8)
+            rows[0] = q - 1
+        primes = np.array(pf.get_prime_table(q, d).irreducibles(d))
+        chi = pf.prime_residues(q, d, width)(rows)
+        assert chi.dtype == np.int8
+        assert np.array_equal(chi, jacobi_symbols(rows[:, None], primes[None], q))
+        if q == 137:
+            # the products x^i mod (x - a) = a^i pass 16 bits, so a 16-bit
+            # remainder would wrap
+            powers = np.array([[pow(-int(c), i, q) for i in range(width)] for c, _ in primes])
+            assert (rows.astype(np.int64) @ powers.T).max() >= 2 ** 16
+
+    def test_prime_residues_refused_before_tables(self, monkeypatch, fresh_prime_residues):
+        def no_tables(*_args):
+            raise AssertionError("table built before the float32 bound check")
+
+        monkeypatch.setattr(pf, "get_prime_table", no_tables)
+        monkeypatch.setattr(pf, "ResidueField", no_tables)
+        # width (q-1)^2 = 4 * 2052^2 >= 2^24 at the prime q = 2053
+        with pytest.raises(ValueError, match="2\\^24"):
+            pf.prime_residues(2053, 1, 4)
 
 
 class TestProperties:

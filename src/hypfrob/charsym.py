@@ -21,6 +21,7 @@ from .polyfield import (
     get_prime_table,
     is_monic,
     make_monic,
+    mod,
     poly_mod,
     poly_mul,
     poly_pow_mod,
@@ -96,11 +97,31 @@ def jacobi_symbol(B, A, q):
 CHUNK_PAIRS = 2 ** 12  # pairs per lockstep pass; fixed, so no result depends on it
 
 
+def _kernel_dtype(q, W):
+    """The signed dtype of the lockstep kernel at padded width W.
+
+    Within a Euclid round each entry of b starts in [0, q) and each step
+    of the top-down remainder takes at most (q-1)^2 from it, in at most W
+    steps (a step at k reaches the deg a + 1 <= W entries below it).  So
+    |b| <= (q-1) + W (q-1)^2: int8 at q = 3 up to W = 31."""
+    return np.min_scalar_type(-((q - 1) + W * (q - 1) ** 2))
+
+
 @lru_cache(maxsize=None)
-def _unit_tables(q):
-    """(legendre symbol, inverse) of every residue mod q, as arrays; 0 maps to 0."""
-    return (np.array(legendre_table(q), np.int8),
-            np.array([0] + [pow(c, q - 2, q) for c in range(1, q)]))
+def _unit_tables(q, dtype):
+    """(sign factor, inverse) tables of one Euclid round, the inverse of
+    every residue mod q cast to the kernel dtype.  The int8 sign factor at
+    ((deg a & 1) * 2 + (deg r & 1)) * q + u, u the leading coefficient of
+    the remainder r (0 for r = 0), folds the two sign rules of
+    `jacobi_symbol`: legendre(u) when deg a is odd, times -1 when deg a and
+    deg r are both odd and q = 3 mod 4.  A zero remainder gives 0, the
+    symbol of a pair with a common factor."""
+    legendre_of = np.array(legendre_table(q), np.int8)
+    swap = -1 if (q - 1) // 2 % 2 else 1
+    factor = np.concatenate([legendre_of ** 2, legendre_of ** 2,
+                             legendre_of, swap * legendre_of])
+    inverse = np.array([0] + [pow(c, q - 2, q) for c in range(1, q)], dtype)
+    return factor, inverse
 
 
 def _degrees(cols):
@@ -112,10 +133,14 @@ def _degrees(cols):
 
 
 def _top_aligned(cols, degrees):
-    """Each column shifted up so that its degree-d coefficient sits in the last row."""
+    """Each column shifted up so that its degree-d coefficient sits in the
+    last row: column j is rows d_j .. d_j + width - 1 of a copy padded with
+    width - 1 zero rows below, read by one `take`."""
     width, n = cols.shape
-    src = np.arange(width)[:, None] - (width - 1 - degrees)
-    return np.where(src >= 0, cols.ravel()[np.maximum(src, 0) * n + np.arange(n)], 0)
+    padded = np.zeros((2 * width - 1, n), cols.dtype)
+    padded[width - 1:] = cols
+    start = degrees * n + np.arange(n)  # flat index of row d_j, column j
+    return padded.ravel().take(start + np.arange(0, width * n, n)[:, None])
 
 
 def jacobi_symbols(B, A, q):
@@ -126,76 +151,76 @@ def jacobi_symbols(B, A, q):
     axis; every A row must be monic (zero columns above its degree are
     allowed).  The leading axes broadcast like a ufunc's, so
     `jacobi_symbols(Qs[:, None], Ps[None], q)` is the (moduli x primes) grid
-    without materializing the pairs.  Pairs go through in fixed chunks of
+    without materializing the pairs.  Both inputs are reduced mod q once,
+    into the kernel dtype, before the pairs go through in fixed chunks of
     CHUNK_PAIRS.
     """
     check_field(q)
     B, A = np.asarray(B), np.asarray(A)
     shape = np.broadcast_shapes(B.shape[:-1], A.shape[:-1])
     lead = shape or (1,)
-    B = np.broadcast_to(B, lead + B.shape[-1:])
-    A = np.broadcast_to(A, lead + A.shape[-1:])
+    dtype = _kernel_dtype(q, max(B.shape[-1], A.shape[-1]))
+    B, A = (np.broadcast_to(mod(np.array(X, np.int64), q).astype(dtype), lead + X.shape[-1:])
+            for X in (B, A))
     out = np.empty(math.prod(lead), np.int8)
     for lo in range(0, len(out), CHUNK_PAIRS):
         idx = np.unravel_index(np.arange(lo, min(lo + CHUNK_PAIRS, len(out))), lead)
-        out[lo:lo + CHUNK_PAIRS] = _jacobi_chunk(B[idx], A[idx], q)
+        out[lo:lo + CHUNK_PAIRS] = _jacobi_chunk(B[idx].T, A[idx].T, q)
     return out.reshape(shape)
 
 
 def _jacobi_chunk(B, A, q):
-    """`jacobi_symbols` on paired (n, kB) and (n, kA) rows.
+    """`jacobi_symbols` on n pairs of coefficient columns, (kB, n) and
+    (kA, n), reduced mod q and in the kernel dtype (`_kernel_dtype`).
 
-    The pairs are held coefficient-major, as (width, n) arrays, so that
-    every step works on contiguous memory.  The remainder of b by a is taken
-    top down: the coefficient of x^k in b, reduced mod q, is cancelled
-    against a's leading term, with a kept top-aligned so that every pair
-    uses the same row slices.  Pairs whose a has degree above k skip the
-    step.  Only that 1-D lead is reduced at each step; b is reduced once per
-    Euclid round, when its remainder is read.  Within a round each entry of
-    b starts in [0, q) and each step takes at most (q-1)^2 from it, in at
-    most W steps, W = max(kB, kA) the padded width (a step at k reaches the
-    deg a + 1 <= kA entries below it).  So |b| <= (q-1) + W (q-1)^2, and
-    that bound picks the dtype: int8 at q = 3 up to W = 31.  A pair leaves
-    the working set, by one index compaction per round, when its symbol is
-    known.
+    The pairs are held coefficient-major, a and b stacked in one
+    (kA + W, n) array, so that every step works on contiguous memory.  The
+    remainder of b by a is taken top down: the coefficient of x^k in b,
+    reduced by `polyfield.mod`, is cancelled against a's leading term, with
+    a kept top-aligned so that every pair uses the same row slices.  Pairs
+    whose a has degree above k skip the step.  Only that 1-D lead is
+    reduced at each step; b is reduced once per Euclid round, in place,
+    when its remainder r is read.  One table lookup per round applies both
+    sign rules.  A pair leaves the working set when its symbol is known:
+    one `np.take` per round compacts a and r together, and they swap roles
+    in place, r scaled to monic becoming the next a and a the next b.
     """
-    width = A.shape[1]
-    W = max(B.shape[1], width)
-    dtype = np.min_scalar_type(-((q - 1) + W * (q - 1) ** 2))
-    legendre_of, inverse_of = _unit_tables(q)
-    swap_signs = (q - 1) // 2 % 2 == 1
-    a = (A % q).T.astype(dtype)
-    n = a.shape[1]
-    da = _degrees(a)
-    if (a[da, np.arange(n)] != 1).any():
+    width, n = A.shape
+    W = max(B.shape[0], width)
+    factor_of, inverse_of = _unit_tables(q, A.dtype)
+    ab = np.zeros((width + W, n), A.dtype)
+    ab[:width] = A
+    ab[width:width + B.shape[0]] = B
+    da = _degrees(ab[:width])
+    if (ab[:width][da, np.arange(n)] != 1).any():
         raise ValueError("Jacobi symbol denominator must be monic")
-    b = np.zeros((W, n), dtype)
-    b[:B.shape[1]] = (B % q).T
     out = np.ones(n, np.int8)  # a constant denominator gives 1, whatever B is
     rows = np.flatnonzero(da > 0)
-    a, b, da = a[:, rows], b[:, rows], da[rows]
+    if len(rows) < n:
+        ab, da = ab[:, rows], da[rows]
     sign = np.ones(len(rows), np.int8)
     top = W - 1  # b's degree is at most this
+    a_first = True  # a in ab[:width], b in the rows after it
     while len(rows):
+        a, b = (ab[:width], ab[width:]) if a_first else (ab[width:], ab[:width])
         a_top = _top_aligned(a, da)
         for k in range(top, da.min() - 1, -1):
-            lead = b[k] % q
-            lead[da > k] = 0
+            lead = mod(b[k].copy(), q)
+            lead *= da <= k
             lo = max(0, k - width + 1)
             b[lo:k + 1] -= lead * a_top[width - (k + 1 - lo):]
-        r = b[:width] % q
+        r = mod(b[:width], q)
         dr = _degrees(r)
         unit = r[dr, np.arange(len(rows))]  # 0 for a zero remainder
-        odd = da % 2 == 1
-        sign[odd & (legendre_of[unit] == -1)] *= -1
-        out[rows[dr < 0]] = 0
-        out[rows[dr == 0]] = sign[dr == 0]
-        sign[odd & (dr % 2 == 1) & swap_signs] *= -1
+        sign *= factor_of.take(((da & 1) * 2 + (dr & 1)) * q + unit)
+        out[rows] = sign  # final for the pairs that leave now
         keep = np.flatnonzero(dr > 0)
         top = da[keep].max(initial=0)
-        b = a[:, keep]
-        a = r[:, keep] * inverse_of[unit[keep]].astype(dtype)
-        a %= q
+        ab = np.take(ab[:2 * width], keep, axis=1)
+        a_first = not a_first
+        a = ab[:width] if a_first else ab[width:]
+        a *= inverse_of.take(unit[keep])
+        mod(a, q)
         da, sign, rows = dr[keep], sign[keep], rows[keep]
     return out
 

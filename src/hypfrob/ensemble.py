@@ -53,6 +53,7 @@ from .polyfield import (
     get_prime_table,
     irreducible_count,
     mobius_table,
+    mod,
     monic_from_code,
     monic_multiple_codes,
     monic_polys,
@@ -255,9 +256,9 @@ def prime_symbol_sums(q, g, s, z):
     c = np.zeros((s.shape[0], N + 1), np.int64)
     for n in range(1, N + 1):
         acc = -s[:, n - 1] - _prime_power_part(q, n, c, z)
-        if (acc % n).any():
-            raise ArithmeticError(f"prime-sum inversion not integral at n={n}")
         c[:, n] = acc // n
+        if (c[:, n] * n != acc).any():
+            raise ArithmeticError(f"prime-sum inversion not integral at n={n}")
     return c
 
 
@@ -309,9 +310,10 @@ def coefficients_from_traces(s, q, g):
         acc = s[:, n - 1].astype(np.int64, copy=True)
         for i in range(1, n):
             acc += A[:, i] * s[:, n - i - 1]
-        if (acc % n).any():
+        quotient = acc // n
+        if (quotient * n != acc).any():
             raise ArithmeticError(f"inverse Newton not integral at n={n}")
-        A[:, n] = -(acc // n)
+        A[:, n] = -quotient
     for beta in range(g + 1, 2 * g + 1):
         A[:, beta] = q ** (beta - g) * A[:, 2 * g - beta]
     return A
@@ -471,7 +473,7 @@ def agl_orbits(q, g, codes, coeffs):
     for l in range(2, q):
         scale = np.array([pow(l, (i - D) % (q - 1), q) for i in range(D)],
                          np.min_scalar_type((q - 1) ** 2))
-        image = digit_codes(digits * scale % q, q)
+        image = digit_codes(mod(digits * scale, q), q)
         images[:, l - 1] = image if canonical is None else canonical[row_of[image]]
     best = images.argmin(axis=1)
     reps, rep_of = np.unique(images.min(axis=1), return_inverse=True)
@@ -500,7 +502,7 @@ def check_orbit_sizes(q, g, translation_sizes, sizes):
     order = q * (q - 1)
     if not (np.isin(translation_sizes, allowed).all()
             and int(translation_sizes.sum()) == total
-            and (sizes >= 1).all() and not (order % sizes).any()
+            and (sizes >= 1).all() and (order // sizes * sizes == order).all()
             and int(sizes.sum()) == total):
         raise ArithmeticError(
             f"orbit sizes at q={q}, g={g}: translation sizes must lie in {allowed}, "
@@ -806,6 +808,18 @@ class TermDecomposition:
     square_part: int
     higher_part: int
 
+    @classmethod
+    def from_symbols(cls, symbols, k):
+        """The split from a `prime_symbols` pass through degree >= k: ints
+        for one modulus, int64 arrays over the moduli for a stacked pass."""
+        prime_sum = symbol_power_sum(symbols, k, 1)
+        return cls(
+            prime_symbol_sum=prime_sum,
+            prime_part=k * prime_sum,
+            square_part=(k // 2) * symbol_power_sum(symbols, k // 2, 2) if k % 2 == 0 else 0,
+            higher_part=sum((k // e) * symbol_power_sum(symbols, k // e, e)
+                            for e in range(3, k + 1) if k % e == 0))
+
 
 def term_decomposition(curve, k, table=None, symbols=None):
     """Per-curve prime / prime-square / higher-power split of -tr Theta^k,
@@ -815,13 +829,7 @@ def term_decomposition(curve, k, table=None, symbols=None):
     replaces the pass made here."""
     if symbols is None:
         symbols = prime_symbols(curve.Q, curve.q, k, table)
-    prime_sum = sum(symbols[k])
-    return TermDecomposition(
-        prime_symbol_sum=prime_sum,
-        prime_part=k * prime_sum,
-        square_part=(k // 2) * symbol_power_sum(symbols, k // 2, 2) if k % 2 == 0 else 0,
-        higher_part=sum((k // e) * symbol_power_sum(symbols, k // e, e)
-                        for e in range(3, k + 1) if k % e == 0))
+    return TermDecomposition.from_symbols(symbols, k)
 
 
 def omega_count(pi_k, z_k, l):

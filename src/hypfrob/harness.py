@@ -21,18 +21,15 @@ from . import ensemble as ens
 from . import linstat, rmt
 from .exact import fraction_str
 from .lfunction import (
-    FunctionalEquationError,
-    RootMagnitudeError,
-    complete_l,
     dirichlet_coefficients,
     eigenphases,
     explicit_sum,
+    newton_power_sums,
     point_count_direct,
     prime_symbols,
-    symbol_row,
-    traces_explicit,
+    symbol_power_sum,
+    symmetry_failure,
     traces_from_eigenphases,
-    traces_from_lpoly,
 )
 from .polyfield import get_prime_table, monic_rows, poly, prime_residues
 
@@ -168,12 +165,10 @@ class VerifyResult:
         return out
 
 
-def _reflect_phase(t):
-    """Negate an angle within (-pi, pi]; -pi wraps back to pi."""
-    r = -t
-    if r <= -math.pi:
-        r += 2 * math.pi
-    return r
+def _reflect_phase(theta):
+    """Negate angles within (-pi, pi]; -pi wraps back to pi."""
+    r = np.negative(theta)
+    return np.where(r <= -math.pi, r + 2 * math.pi, r)
 
 
 def _battery(q, g):
@@ -204,68 +199,95 @@ def _battery(q, g):
 
 
 class _Tally:
-    """One named check: how many items it checked, and its failures in order."""
+    """One named check: how many items it checked, how many failed, and
+    the first failure."""
 
     def __init__(self, name, text):
-        self.name, self.text, self.checked, self.failures = name, text, 0, []
+        self.name, self.text = name, text
+        self.checked, self.failed, self.first = 0, 0, None
 
-    def record(self, where, ok, detail):
-        self.checked += 1
-        if not ok:
-            self.failures.append(f"{where}: {detail}")
+    def record(self, ok, failure):
+        """Count the items of the bool array `ok`, in order; `failure(j)`
+        gives the text of item j, read at the first failure only."""
+        self.checked += len(ok)
+        bad = np.flatnonzero(~np.asarray(ok, bool))
+        if len(bad) and not self.failed:
+            self.first = failure(bad[0])
+        self.failed += len(bad)
 
     def entry(self):
         """(name, ok, detail); a failure adds the count and the first failure."""
-        if not self.failures:
+        if not self.failed:
             return self.name, True, self.text
-        return self.name, False, (f"{self.text}; {len(self.failures)} of {self.checked} "
-                                  f"failed, first {self.failures[0]}")
+        return self.name, False, (f"{self.text}; {self.failed} of {self.checked} "
+                                  f"failed, first {self.first}")
 
 
-def _curve_checks(curve, row, A, symbols, points, theta, recon, N, explicit_N):
-    """The per-curve checks on one curve, as (check name, ok, failure detail).
+def _first_bad(bad):
+    """Per row of the (m, n) bool array `bad`, whether it is all False, and
+    the 1-based index of each row's first True."""
+    return ~bad.any(axis=1), lambda j: int(np.argmax(bad[j])) + 1
 
-    `A`, `symbols`, `points`, `theta` and `recon` are the curve's rows of
+
+def _pass_checks(tallies, q, g, curves, engine, A, symbols, points, theta, off_circle, recon):
+    """The per-curve checks on one pass, as bool columns over its rows.
+
+    `curves` are the rows' curve indices and `engine` their traces from the
+    cache or the engine; `A`, `symbols`, `points`, `theta` and `recon` are
     the batched Dirichlet, prime-symbol, point-count, eigenphase and
-    phase-reconstruction passes of `verify_suite`; the symbols feed the
-    explicit traces, the prime-sum bound and the power decomposition,
-    points[n-1] is the count over F_{q^n}, and `theta` is the
-    RootMagnitudeError of the phase pass where the curve has a root off the
-    critical circle.  A curve whose L-data or eigenphases cannot be formed
-    fails that check and skips the checks that need them."""
-    q, g = curve.q, curve.g
-    try:
-        ld = complete_l(curve, A)
-    except FunctionalEquationError as exc:
-        yield "functional equation", False, str(exc)
-        return
-    yield "functional equation", ld.Astar[2 * g] == q ** g, "leading coefficient != q^g"
-    s = traces_from_lpoly(ld, N)
-    yield "engine agreement", list(row) == s, "engine trace mismatch"
-    yield ("dual trace paths", traces_explicit(curve, explicit_N, symbols=symbols)
-           == s[:explicit_N], "explicit vs Newton mismatch")
-    if isinstance(theta, RootMagnitudeError):
-        yield "riemann hypothesis", False, str(theta)
-        return
-    yield "riemann hypothesis", True, None
-    neg = sorted(_reflect_phase(t) for t in theta)
-    paired = not any(abs(a - b) > 1e-8 for a, b in zip(sorted(theta), neg))
-    yield "eigenphase pairing", len(theta) == 2 * g and paired, "phases not negation-closed"
-    n = next((n for n in range(1, N + 1)
-              if abs(recon[n - 1] - s[n - 1]) > 1e-9 * q ** (n / 2)), None)
-    yield "trace reconstruction", n is None, f"phase-trace reconstruction off at n={n}"
-    n = next((n for n in range(1, N + 1) if s[n - 1] ** 2 > 4 * g * g * q ** n), None)
-    yield "unitarity bound", n is None, f"|s_{n}| > 2g q^(n/2)"
+    phase-reconstruction passes of `verify_suite` over them, points[n-1]
+    the counts over F_{q^n}, and `off_circle` the RootMagnitudeError of
+    each row with a root off the critical circle.  The symbols feed the
+    explicit traces, the prime-sum bound and the power decomposition.  A
+    row whose coefficients break the functional equation is checked no
+    further; a row with a root off the circle skips the checks after
+    "riemann hypothesis" (pairing, reconstruction, the two bounds, the
+    decomposition and the point counts).  Newton's identities run per row
+    in Python ints (`newton_power_sums`), independent of the engine's."""
+    N, explicit_N = engine.shape[1], len(symbols) - 1
+
+    def record(name, live, ok, failure):
+        rows = np.flatnonzero(live)
+        tallies[name].record(ok[rows], lambda j: f"curve {curves[rows[j]]}: {failure(rows[j])}")
+
+    broken = [symmetry_failure(row, q, g) for row in A.tolist()]
+    live = np.array([failure is None for failure in broken], bool)
+    record("functional equation", np.ones(len(A), bool), live, lambda j: broken[j])
+    s = np.zeros(engine.shape, np.int64)
+    s[live] = np.array([newton_power_sums(row, N) for row in A[live].tolist()],
+                       np.int64).reshape(-1, N)
+    record("engine agreement", live, (engine == s).all(axis=1), lambda j: "engine trace mismatch")
+    explicit = np.column_stack([-explicit_sum(symbols, n) for n in range(1, explicit_N + 1)])
+    record("dual trace paths", live, (explicit == s[:, :explicit_N]).all(axis=1),
+           lambda j: "explicit vs Newton mismatch")
+    on_circle = np.ones(len(A), bool)
+    on_circle[list(off_circle)] = False
+    record("riemann hypothesis", live, on_circle, lambda j: str(off_circle[j]))
+    live &= on_circle
+    theta = np.sort(theta, axis=1)
+    paired = ~(np.abs(theta - np.sort(_reflect_phase(theta), axis=1)) > 1e-8).any(axis=1)
+    record("eigenphase pairing", live, paired & (theta.shape[1] == 2 * g),
+           lambda j: "phases not negation-closed")
+    ok, first = _first_bad(np.abs(recon - s) > [1e-9 * q ** (n / 2) for n in range(1, N + 1)])
+    record("trace reconstruction", live, ok,
+           lambda j: f"phase-trace reconstruction off at n={first(j)}")
+    # x^2 > B exactly when |x| > isqrt(B), for integers x and B >= 0
+    ok, first = _first_bad(np.abs(s) > [math.isqrt(4 * g * g * q ** n) for n in range(1, N + 1)])
+    record("unitarity bound", live, ok, lambda j: f"|s_{first(j)}| > 2g q^(n/2)")
     ns = range(1, explicit_N + 1)
-    n = next((n for n in ns if (n * sum(symbols[n])) ** 2 > (2 * g + 2) ** 2 * q ** n), None)
-    yield "prime-sum bound", n is None, f"prime-sum bound fails at n={n}"
-    splits = [ens.term_decomposition(curve, n, symbols=symbols) for n in ns]
-    n = next((n for n, d in zip(ns, splits)
-              if d.prime_part + d.square_part + d.higher_part != -s[n - 1]), None)
-    yield "power decomposition", n is None, f"decomposition identity fails at k={n}"
-    n = next((n for n, count in enumerate(points, start=1)
-              if count != q ** n + 1 - s[n - 1]), None)
-    yield "point counts", n is None, f"point count mismatch at n={n}"
+    ok, first = _first_bad(np.column_stack(
+        [np.abs(n * symbol_power_sum(symbols, n, 1)) > math.isqrt((2 * g + 2) ** 2 * q ** n)
+         for n in ns]))
+    record("prime-sum bound", live, ok, lambda j: f"prime-sum bound fails at n={first(j)}")
+    splits = [ens.TermDecomposition.from_symbols(symbols, n) for n in ns]
+    ok, first = _first_bad(np.column_stack(
+        [d.prime_part + d.square_part + d.higher_part != -s[:, n - 1]
+         for n, d in zip(ns, splits)]))
+    record("power decomposition", live, ok,
+           lambda j: f"decomposition identity fails at k={first(j)}")
+    ok, first = _first_bad(np.column_stack(
+        [count != q ** n + 1 - s[:, n - 1] for n, count in enumerate(points, start=1)]))
+    record("point counts", live, ok, lambda j: f"point count mismatch at n={first(j)}")
 
 
 def verify_suite(q, g, cache_dir=None, budget=ens.DEFAULT_BUDGET, exhaustive=None):
@@ -273,8 +295,10 @@ def verify_suite(q, g, cache_dir=None, budget=ens.DEFAULT_BUDGET, exhaustive=Non
 
     Exhaustive per-curve checks (full coefficient enumeration, dual trace
     paths, eigenphases, point counts) run for every curve at small genus
-    and on a deterministic stride sample at larger genus.  A failing check
-    reports how many curves failed it and the first.
+    and on a deterministic stride sample at larger genus, in passes of
+    rows: each check is one bool column over a pass (`_pass_checks`), and
+    no `Curve` is built, as the sieve proved every row squarefree.  A
+    failing check reports how many curves failed it and the first.
     """
     t0 = time.perf_counter()
     spec = ens.EnsembleSpec(q, g)
@@ -312,20 +336,16 @@ def verify_suite(q, g, cache_dir=None, budget=ens.DEFAULT_BUDGET, exhaustive=Non
         ("point counts", f"direct == q^n + 1 - s_n (n <= {point_N})"))}
     strategy = "enumerate" if exhaustive else "funceq"
     table = get_prime_table(q, explicit_N)
-    sample = range(0, data.count, stride)
+    sample = np.arange(0, data.count, stride)
     for part in _passes(len(sample), sum(table.counts[d] for d in range(1, explicit_N + 1))):
-        moduli = data.coeffs[sample[part]]
+        curves = sample[part]
+        moduli = data.coeffs[curves]
         A = dirichlet_coefficients(moduli, q, strategy=strategy)
-        symbols = prime_symbols(moduli, q, explicit_N, table)
-        points = np.array([point_count_direct(moduli, q, n) for n in range(1, point_N + 1)])
         theta, off_circle = eigenphases(A, q)
-        recon = traces_from_eigenphases(theta, q, N)
-        for j, i in enumerate(sample[part]):
-            for name, ok, detail in _curve_checks(data.curve(i), data.s[i], A[j].tolist(),
-                                                  symbol_row(symbols, j), points[:, j].tolist(),
-                                                  off_circle.get(j, theta[j].tolist()),
-                                                  recon[j].tolist(), N, explicit_N):
-                tallies[name].record(f"curve {i}", ok, detail)
+        _pass_checks(tallies, q, g, curves, data.s[curves], A,
+                     prime_symbols(moduli, q, explicit_N, table),
+                     [point_count_direct(moduli, q, n) for n in range(1, point_N + 1)],
+                     theta, off_circle, traces_from_eigenphases(theta, q, N))
     checks.extend(tally.entry() for tally in tallies.values())
 
     if g <= 3:
@@ -333,8 +353,8 @@ def verify_suite(q, g, cache_dir=None, budget=ens.DEFAULT_BUDGET, exhaustive=Non
         names, tables = zip(*_battery(q, g))
         direct = ens.ensemble_average(spec, tables, budget=budget)
         decomposed = ens.moebius_decomposed_average(spec, tables, budget=budget)
-        for name, d, m in zip(names, direct, decomposed):
-            averages.record(name, d == m, f"{d} != {m}")
+        averages.record([d == m for d, m in zip(direct, decomposed)],
+                        lambda j: f"{names[j]}: {direct[j]} != {decomposed[j]}")
         checks.append(averages.entry())
 
     try:

@@ -112,6 +112,18 @@ def dirichlet_coefficients(Q, q, strategy="funceq"):
     return coeffs[0].tolist() if single else coeffs
 
 
+def symmetry_failure(A, q, g):
+    """Why the coefficients A(0..2g) break the functional equation
+    A_0 = 1, A_beta = q^(beta-g) A_(2g-beta), or None where they keep it."""
+    if A[0] != 1:
+        return "constant coefficient must be 1"
+    for beta in range(g, 2 * g + 1):
+        expected = q ** (beta - g) * A[2 * g - beta]
+        if A[beta] != expected:
+            return f"coefficient symmetry fails at beta={beta}: {A[beta]} != {expected}"
+    return None
+
+
 def complete_l(curve, A=None):
     """Complete the L-polynomial; the symmetry residual must vanish exactly."""
     q, g = curve.q, curve.g
@@ -120,14 +132,9 @@ def complete_l(curve, A=None):
     A = tuple(A)
     if len(A) != 2 * g + 1:
         raise ValueError("need coefficients for beta = 0 .. 2g")
-    if A[0] != 1:
-        raise FunctionalEquationError("constant coefficient must be 1")
-    for beta in range(g, 2 * g + 1):
-        expected = q ** (beta - g) * A[2 * g - beta]
-        if A[beta] != expected:
-            raise FunctionalEquationError(
-                f"coefficient symmetry fails at beta={beta}: "
-                f"{A[beta]} != {expected}")
+    failure = symmetry_failure(A, q, g)
+    if failure:
+        raise FunctionalEquationError(failure)
     return LData(A=A, Astar=A)
 
 

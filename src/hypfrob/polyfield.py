@@ -174,6 +174,22 @@ def poly_pow_mod(f, e, mod, p):
     return result
 
 
+# -- arrays of residues -------------------------------------------------------
+
+def mod(a, p):
+    """Reduce the integer array `a` mod the positive int `p` in place, into
+    [0, p), and return it: a -= p * (a // p), with one temporary.
+
+    numpy's `%` by a scalar is many times slower than its `//` on narrow
+    integer arrays.  This form is exact at every integer dtype that holds p: the
+    result lies in [0, p), and any wrap in p * (a // p) cancels in the
+    subtraction."""
+    multiple = a // p
+    multiple *= p
+    a -= multiple
+    return a
+
+
 # -- canonical enumeration ---------------------------------------------------
 
 def monic_from_code(code, d, p):
@@ -196,8 +212,9 @@ def codes_to_digits(codes, length, p):
     out = np.empty((len(codes), length), np.min_scalar_type(p - 1))
     rest = codes.astype(np.int64, copy=True)
     for i in range(length):
-        out[:, i] = rest % p
-        rest //= p
+        quotient = rest // p
+        out[:, i] = rest - p * quotient
+        rest = quotient
     return out
 
 
@@ -228,9 +245,7 @@ def matmul_mod(rows, matrix, p):
     """
     bound = _float32_bound(matrix.shape[0], p)
     out = rows.astype(np.float32) @ matrix.astype(np.float32, copy=False)
-    out = out.astype(np.min_scalar_type(bound))
-    out -= p * (out // p)  # remainder; `//` by a scalar is the fast ufunc
-    return out
+    return mod(out.astype(np.min_scalar_type(bound)), p)
 
 
 def translates(rows, p):
@@ -278,8 +293,8 @@ def monic_multiple_codes(f, D, p):
     scale = np.arange(p, dtype=dtype)[:, None]
     rows = shifted[k:, :D]
     for i in range(k - 1, -1, -1):
-        step = (scale * shifted[i, :D]) % p
-        rows = ((rows[:, None, :] + step) % p).reshape(-1, D)
+        step = mod(scale * shifted[i, :D], p)
+        rows = mod(rows[:, None, :] + step, p).reshape(-1, D)
     return rows @ p ** np.arange(D, dtype=np.int64)
 
 
@@ -297,7 +312,7 @@ def mobius_table(d, p):
     array indexed by code, from the product sieve: 0 where a prime square
     divides, else (-1)^(number of prime divisors)."""
     table = get_prime_table(p, max(d, 1))
-    mu = 1 - 2 * (divisor_counts(table.primes_up_to(d), d, p) % 2).astype(np.int8)
+    mu = 1 - 2 * (divisor_counts(table.primes_up_to(d), d, p) & 1).astype(np.int8)
     mu[divisor_counts([poly_mul(P, P, p) for P in table.primes_up_to(d // 2)], d, p) > 0] = 0
     return mu
 
@@ -491,7 +506,7 @@ class ResidueField:
             raise ValueError("residue field needs a monic prime of degree >= 1")
         self.q, self.prime, self.d = q, prime, degree(prime)
         self.size = q ** self.d
-        # `mul` of two reduced rows sums d^2 terms of at most (q-1)^3 before `% q`
+        # `mul` of two reduced rows sums d^2 terms of at most (q-1)^3 before `mod`
         self.dtype = np.min_scalar_type(-self.d ** 2 * (q - 1) ** 3)
         self._fold = self.rows(2 * self.d - 1).astype(self.dtype)
         elements = self.elements()
@@ -509,7 +524,8 @@ class ResidueField:
         rows[:1, 0] = 1
         for i in range(1, n):
             rows[i, 1:] = rows[i - 1, :-1]
-            rows[i] = (rows[i] + rows[i - 1, -1] * tail) % self.q
+            rows[i] += rows[i - 1, -1] * tail
+            mod(rows[i], self.q)
         return rows
 
     def elements(self):
@@ -528,8 +544,7 @@ class ResidueField:
         out = a[..., :1] * (b @ self._fold[:self.d])
         for i in range(1, self.d):
             out += a[..., i:i + 1] * (b @ self._fold[i:i + self.d])
-        out %= self.q
-        return out
+        return mod(out, self.q)
 
     def evaluate(self, coeffs, x):
         """Horner: each row of the (m, k) stack `coeffs` (F_q coefficients,
@@ -540,7 +555,8 @@ class ResidueField:
         acc[..., 0] = columns[-1]
         for c in columns[-2::-1]:
             acc = self.mul(acc, x)
-            acc[..., 0] = (acc[..., 0] + c) % self.q
+            acc[..., 0] += c
+            mod(acc[..., 0], self.q)
         return acc
 
 

@@ -185,6 +185,24 @@ class TestJacobiKernel:
         assert got.tolist() == [cs.jacobi_symbol(pf.poly(b, q), pf.poly(a, q), q)
                                 for b, a in zip(B.tolist(), A.tolist())]
 
+    def test_matches_scalar_at_q13_in_int16(self):
+        # verify's shape at (13, 1): moduli of width 4 against monic
+        # denominators of degree <= 4, so W = 5 and |b| <= 12 + 5 * 12^2 =
+        # 732, an int16 kernel.  The entries are drawn unreduced, negative
+        # ones and leading coefficients 14 and -12 included, so the one
+        # reduction of the input is checked too.
+        q, n = 13, 600
+        assert cs._kernel_dtype(q, 5) == np.int16
+        rng = np.random.default_rng(q)
+        B = rng.integers(-3 * q, 3 * q, (n, 4))
+        deg = rng.integers(0, 5, n)
+        A = np.where(np.arange(5) < deg[:, None], rng.integers(-3 * q, 3 * q, (n, 5)), 0)
+        A[np.arange(n), deg] = rng.choice([1, 1 + q, 1 - q], n)
+        got = cs.jacobi_symbols(B, A, q)
+        assert got.tolist() == [cs.jacobi_symbol(pf.poly(b, q), pf.poly(a, q), q)
+                                for b, a in zip(B.tolist(), A.tolist())]
+        assert set(got.tolist()) == {-1, 0, 1}
+
     def test_single_pair_and_constant_denominator(self):
         B, A = (0, 1), (1, 2, 0, 1)
         assert cs.jacobi_symbols(B, A, 3) == cs.jacobi_symbol(B, A, 3) == -1

@@ -155,7 +155,10 @@ class TestEngine:
         def no_tables(*_args):
             raise AssertionError("prime table built before the bound check")
 
-        monkeypatch.setattr(ens, "get_prime_table", no_tables)
+        # the engine's tables come from `polyfield.prime_residues`, which
+        # reads the prime table and builds one `ResidueField` per prime
+        monkeypatch.setattr(pf, "get_prime_table", no_tables)
+        monkeypatch.setattr(pf, "ResidueField", no_tables)
         # (2g+2)(q-1)^2 = 4 * 2052^2 >= 2^24 for the prime q = 2053
         with pytest.raises(ValueError, match="2\\^24"):
             ens.TraceEngine(2053, 1, 2)

@@ -225,6 +225,34 @@ VERIFY_LINES = {
 [ok] point counts: direct == q^n + 1 - s_n (n <= 3), all curves
 [ok] dual averages: direct == Moebius-decomposed for 10 functionals
 [ok] divisor degrees: max total divisor degree 5 <= 2g+1 (and prime-sum inversion integral)""",
+    # stride samples: every 3rd of 1,458 curves, every 32nd of 13,122
+    (3, 3): """\
+[ok] cardinality: 1458 curves vs (q-1)q^(2g) = 1458
+[ok] functional equation: exact coefficient symmetry, every 3th curve
+[ok] riemann hypothesis: root magnitudes within 1e-9 of q^(-1/2), every 3th curve
+[ok] dual trace paths: explicit sums == Newton power sums (n <= 6), every 3th curve
+[ok] engine agreement: vectorized pipeline == per-curve path, every 3th curve
+[ok] eigenphase pairing: 2g phases, closed under negation, every 3th curve
+[ok] trace reconstruction: phases reproduce s_n to 1e-9 q^(n/2), every 3th curve
+[ok] unitarity bound: |s_n| <= 2g q^(n/2), every 3th curve
+[ok] prime-sum bound: |n c_n| <= (2g+2) q^(n/2), every 3th curve
+[ok] power decomposition: prime+square+higher == -s_k, every 3th curve
+[ok] point counts: direct == q^n + 1 - s_n (n <= 2), every 3th curve
+[ok] dual averages: direct == Moebius-decomposed for 10 functionals
+[ok] divisor degrees: max total divisor degree 7 <= 2g+1 (and prime-sum inversion integral)""",
+    (3, 4): """\
+[ok] cardinality: 13122 curves vs (q-1)q^(2g) = 13122
+[ok] functional equation: exact coefficient symmetry, every 32th curve
+[ok] riemann hypothesis: root magnitudes within 1e-9 of q^(-1/2), every 32th curve
+[ok] dual trace paths: explicit sums == Newton power sums (n <= 6), every 32th curve
+[ok] engine agreement: vectorized pipeline == per-curve path, every 32th curve
+[ok] eigenphase pairing: 2g phases, closed under negation, every 32th curve
+[ok] trace reconstruction: phases reproduce s_n to 1e-9 q^(n/2), every 32th curve
+[ok] unitarity bound: |s_n| <= 2g q^(n/2), every 32th curve
+[ok] prime-sum bound: |n c_n| <= (2g+2) q^(n/2), every 32th curve
+[ok] power decomposition: prime+square+higher == -s_k, every 32th curve
+[ok] point counts: direct == q^n + 1 - s_n (n <= 2), every 32th curve
+[ok] divisor degrees: max total divisor degree 9 <= 2g+1 (and prime-sum inversion integral)""",
     (5, 1): """\
 [ok] cardinality: 100 curves vs (q-1)q^(2g) = 100
 [ok] functional equation: exact coefficient symmetry, all curves
@@ -362,6 +390,114 @@ def test_an_off_circle_row_fails_only_its_riemann_hypothesis_check(monkeypatch):
     assert [ln for ln in lines if ln.startswith("[FAIL]")] == [
         "[FAIL] riemann hypothesis: root magnitudes within 1e-9 of q^(-1/2), all curves; "
         "1 of 18 failed, first curve 7: root magnitude 1 vs 0.57735026919 exceeds tolerance"]
+
+
+@pytest.mark.parametrize("column,value,detail", [
+    (2, 6, "coefficient symmetry fails at beta=2: 6 != 3"),
+    (0, 2, "constant coefficient must be 1"),
+])
+def test_a_corrupted_dirichlet_row_fails_the_functional_equation(monkeypatch, column, value,
+                                                                 detail):
+    # curve 0's Dirichlet row breaks the symmetry A_2 = q A_0; its phases
+    # then leave the circle, but a row that fails the functional equation
+    # is checked no further
+    real = harness.dirichlet_coefficients
+
+    def corrupted(Q, q, strategy="funceq"):
+        A = real(Q, q, strategy=strategy)
+        A[0, column] = value
+        return A
+
+    monkeypatch.setattr(harness, "dirichlet_coefficients", corrupted)
+    lines = harness.verify_suite(3, 1).lines()
+    assert [ln for ln in lines if ln.startswith("[FAIL]")] == [
+        "[FAIL] functional equation: exact coefficient symmetry, all curves; "
+        f"1 of 18 failed, first curve 0: {detail}"]
+
+
+def test_a_pass_with_no_row_past_the_functional_equation(monkeypatch):
+    # every Dirichlet row corrupted: nothing is left for the later checks
+    real = harness.dirichlet_coefficients
+
+    def corrupted(Q, q, strategy="funceq"):
+        A = real(Q, q, strategy=strategy)
+        A[:, 2] = 6
+        return A
+
+    monkeypatch.setattr(harness, "dirichlet_coefficients", corrupted)
+    lines = harness.verify_suite(3, 1).lines()
+    assert [ln for ln in lines if ln.startswith("[FAIL]")] == [
+        "[FAIL] functional equation: exact coefficient symmetry, all curves; "
+        "18 of 18 failed, first curve 0: coefficient symmetry fails at beta=2: 6 != 3"]
+
+
+def test_a_functional_equation_failure_leaves_the_later_counts(monkeypatch,
+                                                               fresh_prime_residues):
+    # the flipped F_9 character alone fails the point counts of 13 of the 18
+    # curves, first curve 0; with curve 0's Dirichlet row corrupted too,
+    # curve 0 drops out of the counts: 12 of 17, first curve 1
+    real = harness.dirichlet_coefficients
+
+    def corrupted(Q, q, strategy="funceq"):
+        A = real(Q, q, strategy=strategy)
+        A[0, 2] += 3
+        return A
+
+    init = pf.ResidueField.__init__
+
+    def flipped(field, prime, q):
+        init(field, prime, q)
+        if field.size == 9:
+            field.chars[np.flatnonzero(field.chars)[0]] *= -1
+
+    monkeypatch.setattr(harness, "dirichlet_coefficients", corrupted)
+    monkeypatch.setattr(pf.ResidueField, "__init__", flipped)
+    lines = harness.verify_suite(3, 1).lines()
+    assert [ln for ln in lines if ln.startswith("[FAIL]")] == [
+        "[FAIL] functional equation: exact coefficient symmetry, all curves; "
+        "1 of 18 failed, first curve 0: coefficient symmetry fails at beta=2: 6 != 3",
+        "[FAIL] point counts: direct == q^n + 1 - s_n (n <= 3), all curves; "
+        "12 of 17 failed, first curve 1: point count mismatch at n=2"]
+
+
+def test_folded_phases_fail_only_the_pairing(monkeypatch):
+    # curve 5's phases (-t, t) become (-t, -t): no longer closed under
+    # negation, but sum_j cos(n theta_j) and so the reconstruction is unchanged
+    real = harness.eigenphases
+
+    def folded(A, q):
+        theta, errors = real(A, q)
+        theta = theta.copy()
+        theta[5] = -np.abs(theta[5])
+        return theta, errors
+
+    monkeypatch.setattr(harness, "eigenphases", folded)
+    lines = harness.verify_suite(3, 1).lines()
+    assert [ln for ln in lines if ln.startswith("[FAIL]")] == [
+        "[FAIL] eigenphase pairing: 2g phases, closed under negation, all curves; "
+        "1 of 18 failed, first curve 5: phases not negation-closed"]
+
+
+def test_a_flipped_cubic_symbol_fails_the_power_decomposition(monkeypatch):
+    # flip (Q/P) for curve 5 and the first cubic prime: the Dirichlet sums
+    # stop at degree 2g = 2, so only the prime-symbol side moves, first at k = 3
+    Q = ens.compute_ensemble_data(3, 1, 4).coeffs[5]
+    P = np.array(pf.get_prime_table(3, 3).first_irreducible(3))
+    kernel = lf.jacobi_symbols
+
+    def flipped(B, A, q):
+        out = kernel(B, A, q)
+        if A.shape[-1] == len(P):
+            out[(B == Q).all(axis=-1) & (A == P).all(axis=-1)] *= -1
+        return out
+
+    monkeypatch.setattr(lf, "jacobi_symbols", flipped)
+    lines = harness.verify_suite(3, 1).lines()
+    assert [ln for ln in lines if ln.startswith("[FAIL]")] == [
+        "[FAIL] dual trace paths: explicit sums == Newton power sums (n <= 4), all curves; "
+        "1 of 18 failed, first curve 5: explicit vs Newton mismatch",
+        "[FAIL] power decomposition: prime+square+higher == -s_k, all curves; "
+        "1 of 18 failed, first curve 5: decomposition identity fails at k=3"]
 
 
 class TestReports:

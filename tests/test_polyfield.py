@@ -269,6 +269,19 @@ class TestTranslates:
 
 
 class TestResidueKernel:
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                       np.uint8, np.uint16, np.uint64])
+    @pytest.mark.parametrize("p", [2, 3, 13, 127])
+    def test_mod_matches_python_remainder(self, dtype, p):
+        # the dtype's extremes, where p * (a // p) wraps, and a run around 0
+        info = np.iinfo(dtype)
+        values = sorted({info.min, info.min + 1, info.min + p, info.max - p, info.max - 1,
+                         info.max, *range(max(info.min, -3 * p), min(info.max, 3 * p))})
+        a = np.array(values, dtype)
+        out = pf.mod(a, p)
+        assert out is a and out.dtype == dtype
+        assert out.tolist() == [v % p for v in values]
+
     @pytest.mark.parametrize("p,k", [(3, 7), (13, 6), (137, 6), (2039, 4)])
     def test_matmul_mod_matches_integer_matmul(self, p, k):
         rng = np.random.default_rng(p)

@@ -25,13 +25,14 @@ maps Q(x) -> l^-(2g+1) Q(l x + b), l != 0, which permutes the ensemble
 degree and keeps chi_Q, so it keeps every trace; a scaling by l is the
 quadratic twist when l is not a square, so s_n -> chi(l)^n s_n with chi
 the Legendre symbol of F_q.  The representative of an orbit is its least
-code.  A transversal of the translation orbits is scaled by every l, the
-engine traces the representatives, and `AglOrbits.scatter` gives each
-transversal row chi(l)^n s_n of its representative and copies it to the
-row's q translates.  Invariants checked on every pass, else
-ArithmeticError: translation orbits of size 1 or q, orbit sizes dividing
-q(q-1) and summing to (q-1) q^(2g), every curve written, s_n = 0 at odd n
-on orbits fixed by a non-square l, and every odd column of s summing to 0.
+code.  A transversal of the translation orbits is scaled by every l, which
+labels each curve with its orbit and its sign chi(l); the engine traces
+the representatives, and `AglOrbits.scatter` gives each curve its orbit's
+row with the odd columns times its sign.  Invariants checked on every
+pass, else ArithmeticError: translation orbits of size 1 or q whose sizes
+sum to (q-1) q^(2g), so every curve is reached, orbit sizes dividing
+q(q-1) and summing to (q-1) q^(2g), s_n = 0 at odd n on orbits fixed by a
+non-square l, and on each orbit the odd s_n summing to 0 over its curves.
 """
 
 import itertools
@@ -369,64 +370,41 @@ def compute_ensemble_data(q, g, N, *, budget=DEFAULT_BUDGET):
     return EnsembleData(q=q, g=g, N=N, coeffs=coeffs, s=s)
 
 
-SCATTER_ROWS = 2 ** 14  # transversal rows per scatter pass; bounds its temporaries
-
-
 @dataclass
 class AglOrbits:
     """The orbits of the ensemble under Q(x) -> l^-(2g+1) Q(l x + b).
 
-    The transversal holds one curve per translation orbit, its least code.
     Per orbit: `reps`, its least code (ascending), `sizes`, its number of
-    curves, and `fixed`, whether a non-square l fixes it.  Per transversal
-    row: `rep_of`, the index of its orbit, `twist`, chi(l) for the l that
-    carries it onto its representative's translation orbit,
-    `translation_sizes`, the size of its translation orbit, and the ensemble
-    rows of its q translates, as the columns of `translate_rows`, an int32
-    (q, rows) array.
+    curves, and `fixed`, whether a non-square l fixes it.  Per curve, in
+    ensemble row order: `orbit`, the index of its orbit, and `sign`, chi(l)
+    for an l that carries its representative onto its translation orbit,
+    so s_n of the curve is sign^n times its representative's.
     """
-    count: int
     reps: np.ndarray
     sizes: np.ndarray
     fixed: np.ndarray
-    rep_of: np.ndarray
-    twist: np.ndarray
-    translation_sizes: np.ndarray
-    translate_rows: np.ndarray
+    orbit: np.ndarray
+    sign: np.ndarray
 
     def scatter(self, s_reps):
         """Traces of every curve, in ensemble row order, from the traces of
-        the representatives: odd columns take the row's twist sign, then each
-        transversal row's traces go to all its translates.
+        the representatives: each curve takes its orbit's row, with the odd
+        columns times its sign.
 
         Raises ArithmeticError unless a fixed orbit has s_n = 0 at every odd
-        n, every curve is written, and every odd column sums to 0 over the
-        ensemble.  The last holds as a non-square l permutes the ensemble
-        and negates s_n at odd n.  Once every curve is written, and the
-        translation sizes sum to the curve count, each curve is written by
-        one transversal row, so that sum is the transversal's sum weighted by
-        `translation_sizes`; it is taken mod 2^64, where a true 0 stays 0.
+        n, and every orbit whose curves' signs do not sum to 0 has s_n = 0 at
+        every odd n.  Summed over an orbit, the curves' s_n is that sum of
+        signs times the representative's s_n; it is 0 at odd n, as a
+        non-square l permutes the orbit and negates s_n there.
         """
         if s_reps[self.fixed, ::2].any():
             raise ArithmeticError("an orbit fixed by a non-square scaling has a nonzero "
                                   "odd-power trace")
-        s = np.empty((self.count, s_reps.shape[1]), np.int64)
-        written = np.zeros(self.count, bool)
-        odd_sums = 0
-        for lo in range(0, len(self.rep_of), SCATTER_ROWS):
-            part = slice(lo, lo + SCATTER_ROWS)
-            s_t = s_reps[self.rep_of[part]]
-            s_t[:, ::2] *= self.twist[part, None]
-            odd_sums += self.translation_sizes[part] @ s_t[:, ::2]
-            for rows in self.translate_rows[:, part]:
-                s[rows] = s_t
-                written[rows] = True
-        if not written.all():
-            raise ArithmeticError(f"the orbit scatter wrote {np.count_nonzero(written)} of "
-                                  f"{self.count} curves")
-        if np.any(odd_sums):
-            raise ArithmeticError("an odd-power trace column does not sum to 0 over the "
-                                  "ensemble: a twist sign is lost")
+        if s_reps[np.bincount(self.orbit, self.sign, len(self.reps)) != 0, ::2].any():
+            raise ArithmeticError("an orbit's odd-power traces do not sum to 0 over its "
+                                  "curves: a twist sign is lost")
+        s = s_reps.take(self.orbit, axis=0)
+        s[:, ::2] *= self.sign[:, None]
         return s
 
 
@@ -439,16 +417,23 @@ def agl_orbits(q, g, codes, coeffs):
     a_i to l^(i-2g-1) a_i, is the quadratic twist by l when l is not a
     square: s_n -> chi(l)^n s_n.
 
-    1. Transversal: when q does not divide 2g+1, a_{2g} + (2g+1) t takes
-       every value, so each translation orbit has q curves and exactly one
-       with a_{2g} = 0, the top digit of the code: its least curve, and the
-       codes below q^(2g) are the transversal.  Otherwise the least of the q
-       translates of each curve marks its orbit.
-    2. Scaling: the least translation-canonical code over the q-1 scalings
-       of a transversal row is the least code of its orbit; the least l
-       giving it yields the row's twist.  Scaling keeps a_{2g} = 0, so when
-       q does not divide 2g+1 that code is the scaled row's own.
-    Raises ArithmeticError when `check_orbit_sizes` fails.
+    1. Transversal: one curve per translation orbit, its least code, and
+       `t_of`, the transversal index of each curve's translation orbit
+       (-1 where no transversal row reaches the curve).  When q does not
+       divide 2g+1, a_{2g} + (2g+1) t takes every value, so each
+       translation orbit has q curves and exactly one with a_{2g} = 0, the
+       top digit of the code: its least curve, and the codes below q^(2g)
+       are the transversal, whose translates give `t_of`.  Otherwise the
+       least of the q translates of each curve marks its orbit, and is
+       looked up in the transversal.
+    2. Scaling: the least transversal index over the q-1 scalings of a
+       transversal row is that of the least code of its orbit; the least l
+       giving it yields the row's twist sign, which its translates share.
+       Scaling keeps a_{2g} = 0, so when q does not divide 2g+1 the scaled
+       row is itself in the transversal.
+    The translation sizes are the counts of `t_of`, so they sum to the
+    curve count only if every curve is reached.  Raises ArithmeticError
+    when `check_orbit_sizes` fails.
     """
     D = 2 * g + 1
     row_of = np.full(q ** D, -1, np.int32)
@@ -459,32 +444,34 @@ def agl_orbits(q, g, codes, coeffs):
 
     if D % q:
         m = int(np.searchsorted(codes, q ** (D - 1)))
-        t_codes, t_coeffs, canonical = codes[:m], coeffs[:m], None
+        t_codes, t_coeffs = codes[:m], coeffs[:m]
+        t_rows = _map_chunks(lambda rows: row_of[translate_codes(rows)], t_coeffs)
+        t_of = np.full(len(codes), -1)
+        t_of[t_rows] = np.arange(m)[:, None]
     else:
         canonical = _map_chunks(lambda rows: translate_codes(rows).min(axis=1), coeffs)
         keep = canonical == codes
         t_codes, t_coeffs = codes[keep], coeffs[keep]
-    t_rows = _map_chunks(lambda rows: row_of[translate_codes(rows)], t_coeffs)
-    t_sizes = 1 + np.count_nonzero(np.diff(np.sort(t_rows, axis=1), axis=1), axis=1)
+        t_of = np.searchsorted(t_codes, canonical)
+        t_of[t_codes.take(t_of, mode="clip") != canonical] = -1
+    t_sizes = np.bincount(t_of[t_of >= 0], minlength=len(t_codes))
 
     digits = t_coeffs[:, :D]
     images = np.empty((len(t_codes), q - 1), np.int64)
-    images[:, 0] = t_codes
+    images[:, 0] = np.arange(len(t_codes))
     for l in range(2, q):
         scale = np.array([pow(l, (i - D) % (q - 1), q) for i in range(D)],
                          np.min_scalar_type((q - 1) ** 2))
-        image = digit_codes(mod(digits * scale, q), q)
-        images[:, l - 1] = image if canonical is None else canonical[row_of[image]]
+        images[:, l - 1] = t_of[row_of[digit_codes(mod(digits * scale, q), q)]]
     best = images.argmin(axis=1)
-    reps, rep_of = np.unique(images.min(axis=1), return_inverse=True)
-    chi = np.array(legendre_table(q), np.int64)
+    least, rep_of = np.unique(images.min(axis=1), return_inverse=True)
+    chi = np.array(legendre_table(q), np.int8)
     sizes = np.bincount(rep_of, t_sizes).astype(np.int64)
     check_orbit_sizes(q, g, t_sizes, sizes)
     nonsquare = np.flatnonzero(chi[1:] == -1)
-    fixed = (images[np.searchsorted(t_codes, reps)][:, nonsquare] == reps[:, None]).any(axis=1)
-    return AglOrbits(count=len(codes), reps=reps, sizes=sizes, fixed=fixed, rep_of=rep_of,
-                     twist=chi[best + 1], translation_sizes=t_sizes,
-                     translate_rows=np.ascontiguousarray(t_rows.T))
+    fixed = (images[least][:, nonsquare] == least[:, None]).any(axis=1)
+    return AglOrbits(reps=t_codes[least], sizes=sizes, fixed=fixed, orbit=rep_of[t_of],
+                     sign=chi[best + 1][t_of])
 
 
 def check_orbit_sizes(q, g, translation_sizes, sizes):
@@ -589,7 +576,7 @@ def default_representatives(q, degrees, table=None):
     return tuple(reps)
 
 
-def multi_char_sum(q, beta, degrees, method="direct", table=None, budget=5_000_000):
+def multi_char_sum(q, beta, degrees, method="direct", table=None, budget=DEFAULT_BUDGET):
     """S(beta; k_1..k_n): sum over ordered tuples of pairwise distinct primes
     of the given degrees and monic B of degree beta of (B / p_1...p_n).
 
@@ -830,28 +817,6 @@ def term_decomposition(curve, k, table=None, symbols=None):
     if symbols is None:
         symbols = prime_symbols(curve.Q, curve.q, k, table)
     return TermDecomposition.from_symbols(symbols, k)
-
-
-def omega_count(pi_k, z_k, l):
-    """Number of l-subsets of degree-k primes containing a divisor of Q."""
-    return math.comb(pi_k, l) - math.comb(pi_k - z_k, l)
-
-
-def ordered_prime_tuple_sum(pi_k, z_k, c_k, m):
-    """Sum of chi(p_1...p_m) over ordered distinct m-tuples of degree-k primes,
-    from the counts of +1 / -1 / 0 symbol values."""
-    if (pi_k - z_k + c_k) % 2:
-        raise ArithmeticError("inconsistent symbol counts")
-    n_plus = (pi_k - z_k + c_k) // 2
-    n_minus = (pi_k - z_k - c_k) // 2
-    subsets = sum((-1) ** (m - j) * math.comb(n_plus, j) * math.comb(n_minus, m - j)
-                  for j in range(m + 1))
-    return math.factorial(m) * subsets
-
-
-def ordered_square_tuple_sum(pi_k, z_k, m):
-    """Sum of chi(p_1^2...p_m^2) over ordered distinct m-tuples."""
-    return math.factorial(m) * math.comb(pi_k - z_k, m)
 
 
 @dataclass

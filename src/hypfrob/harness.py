@@ -7,6 +7,7 @@ Exit status contract: 0 ok, 1 hard invariant failure, 2 configuration
 error, 3 enumeration budget refusal.
 """
 
+import itertools
 import json
 import math
 import os
@@ -31,10 +32,12 @@ from .lfunction import (
     symmetry_failure,
     traces_from_eigenphases,
 )
-from .polyfield import get_prime_table, monic_rows, poly, prime_residues
+from .polyfield import get_prime_table, irreducible_count, monic_rows, poly, prime_residues
 
 CACHE_ENV = "HYPFROB_CACHE_DIR"
 PAIRS_PER_PASS = 2 ** 20  # (modulus, prime) pairs per batched symbol pass: ~1 MB of int8
+EXPLICIT_PRIMES = 2 ** 13  # primes of degree <= n in verify's explicit sums
+EXHAUSTIVE_PAIRS = 2 ** 25  # curves x (those primes + monic B) for verify on every curve
 
 
 def _passes(count, primes):
@@ -299,6 +302,11 @@ def verify_suite(q, g, cache_dir=None, budget=ens.DEFAULT_BUDGET, exhaustive=Non
     rows: each check is one bool column over a pass (`_pass_checks`), and
     no `Curve` is built, as the sieve proved every row squarefree.  A
     failing check reports how many curves failed it and the first.
+
+    Two cost guards: the explicit sums run through the largest degree
+    n <= min(2g+2, 6) with at most EXPLICIT_PRIMES primes of degree <= n,
+    and g <= 2 takes the stride sample too once the curves times those
+    primes and the monic B of degree <= 2g pass EXHAUSTIVE_PAIRS.
     """
     t0 = time.perf_counter()
     spec = ens.EnsembleSpec(q, g)
@@ -317,11 +325,14 @@ def verify_suite(q, g, cache_dir=None, budget=ens.DEFAULT_BUDGET, exhaustive=Non
                        f"{data.count} differ, first curve {bad[0]}" if len(bad)
                        else "cached traces match a fresh computation"))
 
+    totals = list(itertools.accumulate(irreducible_count(q, n) for n in range(1, min(N, 6) + 1)))
+    explicit_N = max(1, sum(total <= EXPLICIT_PRIMES for total in totals))
+    primes = totals[explicit_N - 1]  # of degree <= explicit_N
     if exhaustive is None:
-        exhaustive = g <= 2
+        monic_b = sum(q ** d for d in range(2 * g + 1))
+        exhaustive = g <= 2 and data.count * (primes + monic_b) <= EXHAUSTIVE_PAIRS
     stride = 1 if exhaustive else max(1, data.count // 400)
     scope = "all curves" if stride == 1 else f"every {stride}th curve"
-    explicit_N = N if g <= 2 else min(N, 6)
     point_N = 3 if g <= 2 else 2
     tallies = {name: _Tally(name, f"{text}, {scope}") for name, text in (
         ("functional equation", "exact coefficient symmetry"),
@@ -334,10 +345,10 @@ def verify_suite(q, g, cache_dir=None, budget=ens.DEFAULT_BUDGET, exhaustive=Non
         ("prime-sum bound", "|n c_n| <= (2g+2) q^(n/2)"),
         ("power decomposition", "prime+square+higher == -s_k"),
         ("point counts", f"direct == q^n + 1 - s_n (n <= {point_N})"))}
-    strategy = "enumerate" if exhaustive else "funceq"
+    strategy = "enumerate" if g <= 2 else "funceq"
     table = get_prime_table(q, explicit_N)
     sample = np.arange(0, data.count, stride)
-    for part in _passes(len(sample), sum(table.counts[d] for d in range(1, explicit_N + 1))):
+    for part in _passes(len(sample), primes):
         curves = sample[part]
         moduli = data.coeffs[curves]
         A = dirichlet_coefficients(moduli, q, strategy=strategy)
@@ -618,8 +629,10 @@ def _cmd_charsum(config):
     rows, lines = [], []
     code = 0
     for beta in range(0, bmax + 1):
-        direct = ens.multi_char_sum(config.q, beta, degrees, method="direct")
-        recip = ens.multi_char_sum(config.q, beta, degrees, method="reciprocity")
+        direct = ens.multi_char_sum(config.q, beta, degrees, method="direct",
+                                    budget=config.budget)
+        recip = ens.multi_char_sum(config.q, beta, degrees, method="reciprocity",
+                                   budget=config.budget)
         agree = direct == recip
         vanish_expected = beta >= sum(degrees)
         ok = agree and (direct == 0 or not vanish_expected)

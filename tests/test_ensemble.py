@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -274,6 +273,14 @@ def _agl_oracle(q, g):
     return codes, least.astype(np.int64), fixed
 
 
+def _translate_rows(q, g, codes, coeffs):
+    """Ensemble rows of the q translates Q(x + t) of every curve, (n, q)."""
+    translated = pf.digit_codes(pf.translates(coeffs, q)[:, :, :2 * g + 1], q)
+    rows = np.searchsorted(codes, translated)
+    assert np.array_equal(codes[rows], translated)
+    return rows
+
+
 # q is prime to 2g+1 at the first seven and the last three, and divides it
 # at the four between
 ORBIT_POINTS = [(3, 2), (3, 3), (5, 1), (5, 3), (7, 2), (11, 2), (13, 2),
@@ -308,22 +315,22 @@ class TestTranslationOrbits:
         rows_of_reps = np.searchsorted(codes, orbits.reps)
         assert np.array_equal(codes[rows_of_reps], orbits.reps)  # curves of the ensemble
         assert np.all(np.diff(orbits.reps) > 0)
-        # the distinct translates of the transversal rows partition the ensemble
-        ordered = np.sort(orbits.translate_rows, axis=0)
-        first = np.ones(ordered.shape, bool)
-        first[1:] = ordered[1:] != ordered[:-1]
-        assert np.array_equal(np.sort(ordered[first]), np.arange(len(codes)))
-        assert np.array_equal(first.sum(axis=0), orbits.translation_sizes)
-        assert orbits.sizes.sum() == len(codes)
-        fixed = np.count_nonzero(orbits.translation_sizes == 1)
+        # every translate of a curve has the same least translate, so the
+        # translates of the transversal (the curves that are their own least
+        # translate) partition the ensemble; each curve has the orbit and sign
+        # of its transversal row
+        rows = _translate_rows(q, g, codes, data.coeffs)
+        least = rows.min(axis=1)
+        assert np.array_equal(least[rows], np.repeat(least[:, None], q, axis=1))
+        assert np.array_equal(orbits.orbit, orbits.orbit[least])
+        assert np.array_equal(orbits.sign, orbits.sign[least])
+        assert np.array_equal(np.bincount(orbits.orbit), orbits.sizes)
+        fixed = np.count_nonzero(np.bincount(least) == 1)
         assert (fixed > 0) == ((2 * g + 1) % q == 0)
-        assert set(np.unique(orbits.twist)) <= {-1, 1}
-        # a representative is its own transversal row, with no twist
-        t_codes = codes[orbits.translate_rows[0]]
-        own = np.searchsorted(t_codes, orbits.reps)
-        assert np.array_equal(t_codes[own], orbits.reps)
-        assert np.array_equal(orbits.rep_of[own], np.arange(len(orbits.reps)))
-        assert (orbits.twist[own] == 1).all()
+        assert set(np.unique(orbits.sign)) <= {-1, 1}
+        # a representative is in its own orbit, with sign +1
+        assert np.array_equal(orbits.orbit[rows_of_reps], np.arange(len(orbits.reps)))
+        assert (orbits.sign[rows_of_reps] == 1).all()
 
     @pytest.mark.parametrize("q,g", ORACLE_POINTS)
     def test_representatives_are_the_least_codes_of_their_orbits(self, q, g):
@@ -333,6 +340,7 @@ class TestTranslationOrbits:
         assert np.array_equal(orbits.reps, reps)
         assert np.array_equal(orbits.sizes, sizes)
         assert np.array_equal(orbits.fixed, fixed[np.searchsorted(codes, reps)])
+        assert np.array_equal(orbits.reps[orbits.orbit], least)
         # l = -1 is a non-square when q = 3 mod 4; it fixes the odd
         # polynomials, Q(-x) = -Q(x)
         if q % 4 == 3:
@@ -341,8 +349,10 @@ class TestTranslationOrbits:
     @pytest.mark.parametrize("q,g", [(3, 2), (3, 1)])
     def test_corrupted_orbit_sizes_are_refused(self, q, g):
         codes = ens.squarefree_codes(q, g)
-        orbits = ens.agl_orbits(q, g, codes, pf.monic_rows(codes, 2 * g + 1, q))
-        t_sizes, sizes = orbits.translation_sizes, orbits.sizes
+        coeffs = pf.monic_rows(codes, 2 * g + 1, q)
+        sizes = ens.agl_orbits(q, g, codes, coeffs).sizes
+        _, t_sizes = np.unique(_translate_rows(q, g, codes, coeffs).min(axis=1),
+                               return_counts=True)
         ens.check_orbit_sizes(q, g, t_sizes, sizes)
         short = sizes.copy()
         short[0] -= 1
@@ -396,15 +406,24 @@ class TestTranslationOrbits:
             ens.compute_ensemble_data(3, 2, 6)
 
     @pytest.mark.parametrize("q,g", [(3, 2), (3, 1)])
-    def test_an_unwritten_curve_is_refused(self, q, g):
+    def test_an_unreached_curve_is_refused(self, q, g, monkeypatch):
+        # the translates of one translation orbit of q curves all become the
+        # greatest code, the least translate of no curve: no transversal row
+        # reaches that orbit, and at (3, 1) the sizes left are still 1 or q
         codes = ens.squarefree_codes(q, g)
-        orbits = ens.agl_orbits(q, g, codes, pf.monic_rows(codes, 2 * g + 1, q))
-        s_reps = ens.TraceEngine(q, g, 4).traces(pf.monic_rows(orbits.reps, 2 * g + 1, q))
-        orbits.scatter(s_reps)
-        lost = orbits.translate_rows.copy()
-        lost[1] = lost[0]  # the t = 1 translates are never written
-        with pytest.raises(ArithmeticError, match="wrote"):
-            dataclasses.replace(orbits, translate_rows=lost).scatter(s_reps)
+        coeffs = pf.monic_rows(codes, 2 * g + 1, q)
+        rows = _translate_rows(q, g, codes, coeffs)
+        lost = codes[rows[np.flatnonzero(np.bincount(rows.min(axis=1)) == q)[-1]]]
+
+        def lossy(block, p):
+            out = pf.translates(block, p)
+            out[np.isin(pf.digit_codes(block[:, :-1], p), lost), :, :-1] = p - 1
+            return out
+
+        ens.agl_orbits(q, g, codes, coeffs)  # passes with the true translates
+        monkeypatch.setattr(ens, "translates", lossy)
+        with pytest.raises(ArithmeticError, match="orbit sizes"):
+            ens.agl_orbits(q, g, codes, coeffs)
 
     def test_verify_fails_every_curve_of_a_flipped_representative(self, tmp_path,
                                                                    monkeypatch, capsys):
@@ -686,44 +705,6 @@ class TestDecomposition:
         for i in range(0, data_g2.count, 19):
             for k in (1, 3, 5):
                 assert ens.term_decomposition(data_g2.curve(i), k, table).square_part == 0
-
-    def test_ordered_tuple_sums_against_brute_force(self, data_g2):
-        table = pf.get_prime_table(3, 2)
-        for i in range(0, data_g2.count, 29):
-            Q = data_g2.curve(i).Q
-            for k in (1, 2):
-                primes = table.irreducibles(k)
-                vals = [jacobi_symbol(Q, prime, 3) for prime in primes]
-                z = sum(1 for v in vals if v == 0)
-                c = sum(vals)
-                pi_k = len(primes)
-                for m in (1, 2, 3):
-                    brute_p = sum(math.prod(t) for t in itertools.permutations(vals, m))
-                    brute_sq = sum(math.prod(v * v for v in t)
-                                   for t in itertools.permutations(vals, m))
-                    assert ens.ordered_prime_tuple_sum(pi_k, z, c, m) == brute_p
-                    assert ens.ordered_square_tuple_sum(pi_k, z, m) == brute_sq
-
-    def test_omega_count_against_brute_force(self, data_g2):
-        table = pf.get_prime_table(3, 2)
-        for i in range(0, data_g2.count, 31):
-            Q = data_g2.curve(i).Q
-            primes = table.irreducibles(2)
-            divides = [not pf.poly_mod(Q, prime, 3) for prime in primes]
-            z = sum(divides)
-            for l in (1, 2, 3):
-                brute = sum(1 for combo in itertools.combinations(divides, l) if any(combo))
-                assert ens.omega_count(len(primes), z, l) == brute
-
-    def test_omega_bound(self, data_g2):
-        decomp = ens.DecompositionData.build(data_g2)
-        for k in range(1, 6):
-            pi_k = pf.irreducible_count(3, k)
-            for i in range(0, data_g2.count, 23):
-                z = int(decomp.z[i, k])
-                for l in (1, 2):
-                    assert (ens.omega_count(pi_k, z, l)
-                            <= Fraction(2 * 2 + 1, k) * pi_k ** (l - 1))
 
 
 class TestPrimeTermMoment:

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +90,14 @@ class TestExitCodes:
                         "--budget", "1000", "--out", str(tmp_path)]) == 0
         assert run_cli(["sigma", "--q", "3", "--degrees", "2", "--alpha-max", "7",
                         "--budget", "1000", "--out", str(tmp_path)]) == 3
+
+    def test_charsum_budget_refusal(self, tmp_path):
+        # the grid at q=3, degrees 1 is 3 primes x 3^beta monic B: 27 entries
+        # at beta = 2, 81 at beta = 3
+        assert run_cli(["charsum", "--q", "3", "--degrees", "1", "--beta-max", "2",
+                        "--budget", "27", "--out", str(tmp_path)]) == 0
+        assert run_cli(["charsum", "--q", "3", "--degrees", "1", "--beta-max", "3",
+                        "--budget", "27", "--out", str(tmp_path)]) == 3
 
     def test_config_error(self, capsys):
         code = run_cli(["moment", "--q", "3", "--g", "1", "--spec", "(2,1);(2,2)"])
@@ -281,6 +290,22 @@ VERIFY_LINES = {
 [ok] point counts: direct == q^n + 1 - s_n (n <= 3), all curves
 [ok] dual averages: direct == Moebius-decomposed for 10 functionals
 [ok] divisor degrees: max total divisor degree 3 <= 2g+1 (and prime-sum inversion integral)""",
+    # both cost guards: 4088 primes through degree 5 (23632 through 6), and
+    # 14406 curves x (4088 primes + 2801 monic B) past 2^25 pairs
+    (7, 2): """\
+[ok] cardinality: 14406 curves vs (q-1)q^(2g) = 14406
+[ok] functional equation: exact coefficient symmetry, every 36th curve
+[ok] riemann hypothesis: root magnitudes within 1e-9 of q^(-1/2), every 36th curve
+[ok] dual trace paths: explicit sums == Newton power sums (n <= 5), every 36th curve
+[ok] engine agreement: vectorized pipeline == per-curve path, every 36th curve
+[ok] eigenphase pairing: 2g phases, closed under negation, every 36th curve
+[ok] trace reconstruction: phases reproduce s_n to 1e-9 q^(n/2), every 36th curve
+[ok] unitarity bound: |s_n| <= 2g q^(n/2), every 36th curve
+[ok] prime-sum bound: |n c_n| <= (2g+2) q^(n/2), every 36th curve
+[ok] power decomposition: prime+square+higher == -s_k, every 36th curve
+[ok] point counts: direct == q^n + 1 - s_n (n <= 3), every 36th curve
+[ok] dual averages: direct == Moebius-decomposed for 10 functionals
+[ok] divisor degrees: max total divisor degree 5 <= 2g+1 (and prime-sum inversion integral)""",
 }
 
 
@@ -517,7 +542,7 @@ class TestReports:
         for out in (out1, out2):
             assert run_cli(["moment", "--q", "3", "--g", "1", "--spec", "(2,1)",
                             "--format", "json", "--cache-dir", cache, "--out", out]) == 0
-        read = lambda p: open(os.path.join(p, "moment_q3_g1.json"), "rb").read()
+        read = lambda p: Path(p, "moment_q3_g1.json").read_bytes()
         assert read(out1) == read(out2)
         rows = json.loads(read(out1))
         # hand-derived over the 18 curves: <sum chi(P) over quadratic P> = 1/2

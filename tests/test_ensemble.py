@@ -578,6 +578,13 @@ class TestMultiCharSum:
         with pytest.raises(ens.BudgetError):
             ens.multi_char_sum(3, 12, (1, 2), budget=1000)
 
+    def test_default_budget_is_the_shared_default(self):
+        # 3 primes of degree 1 x 3^13 monic B = 4,782,969 entries: past
+        # DEFAULT_BUDGET, refused before any symbol is computed
+        assert 3 * 3 ** 13 > ens.DEFAULT_BUDGET
+        with pytest.raises(ens.BudgetError):
+            ens.multi_char_sum(3, 13, (1,))
+
 
 class TestMomentSpec:
     def test_parse(self):

@@ -323,6 +323,29 @@ def test_verify_lines_independent_of_the_pass_size(monkeypatch):
     assert "\n".join(harness.verify_suite(3, 1).lines()) == VERIFY_LINES[3, 1]
 
 
+def test_verify_explicit_depth_bounded_by_prime_count(monkeypatch):
+    # 32 primes of degree <= 4 at q = 3: the explicit sums reach n = 4 at a
+    # bound of 32 and stop at n = 3 below it
+    monkeypatch.setattr(harness, "EXPLICIT_PRIMES", 32)
+    assert "\n".join(harness.verify_suite(3, 1).lines()) == VERIFY_LINES[3, 1]
+    monkeypatch.setattr(harness, "EXPLICIT_PRIMES", 31)
+    assert "\n".join(harness.verify_suite(3, 1).lines()) == VERIFY_LINES[3, 1].replace(
+        "Newton power sums (n <= 4)", "Newton power sums (n <= 3)")
+
+
+def test_verify_falls_back_to_the_stride_sample_past_the_pair_bound(monkeypatch):
+    # (5, 2): 2500 curves x (3409 primes of degree <= 6 + 781 monic B of
+    # degree <= 4) pairs; one pair over the bound samples every 6th curve
+    monkeypatch.setattr(harness, "EXHAUSTIVE_PAIRS", 2500 * (3409 + 781) - 1)
+    result = harness.verify_suite(5, 2)
+    assert result.ok
+    lines = result.lines()
+    assert not any("all curves" in line for line in lines)
+    assert sum(line.endswith(", every 6th curve") for line in lines) == 10
+    assert "[ok] dual trace paths: explicit sums == Newton power sums (n <= 6), " \
+           "every 6th curve" in lines
+
+
 @pytest.mark.parametrize("q", [7, 11])
 def test_battery_averages_agree_beyond_small_q(q):
     spec = ens.EnsembleSpec(q, 1)

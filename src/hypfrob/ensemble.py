@@ -9,9 +9,15 @@ monic codes of one degree, read through the product sieve of `polyfield`.
 The bulk pipeline is vectorized with numpy but stays exact: coefficients,
 character values and scaled traces are small integers, sums are checked
 against 64-bit bounds, and every ensemble statistic is reduced to an
-integer total before any floating-point rendering.  Totals that could pass
-those bounds are Python-int sums over `distinct_rows`, each distinct row
-weighted by how many curves share it.
+integer total before any floating-point rendering.
+
+Trace statistics sum over `WeightedRows`, not over curves: row i stands
+for even[i] curves, and a statistic that the quadratic twist negates is
+weighted by odd[i] instead.  Freshly computed data carries the AGL(1, q)
+representatives, weighted by their orbit sizes and signed counts; any
+other data (a cache read) gets its `distinct_rows` with their counts.
+Totals that could pass the 64-bit bounds are Python-int sums over the
+rows regrouped on the columns they read.
 
 Traces take one route, `TraceEngine`: the explicit formula gives s_1..s_g
 from chi_Q at the primes of degree <= g, inverse Newton the coefficients
@@ -31,13 +37,14 @@ the representatives, and `AglOrbits.scatter` gives each curve its orbit's
 row with the odd columns times its sign.  Invariants checked on every
 pass, else ArithmeticError: translation orbits of size 1 or q whose sizes
 sum to (q-1) q^(2g), so every curve is reached, orbit sizes dividing
-q(q-1) and summing to (q-1) q^(2g), s_n = 0 at odd n on orbits fixed by a
-non-square l, and on each orbit the odd s_n summing to 0 over its curves.
+q(q-1) and summing to (q-1) q^(2g), each orbit's signed count at most its
+size, s_n = 0 at odd n on orbits fixed by a non-square l, and on each
+orbit the odd s_n summing to 0 over its curves.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -138,6 +145,11 @@ class MomentSpec:
     @property
     def max_k(self):
         return max(k for k, _ in self.terms)
+
+    @property
+    def twist_odd(self):
+        """Whether the quadratic twist, s_k -> (-1)^k s_k, negates the product."""
+        return self.total % 2 == 1
 
     def label(self):
         return ";".join(f"({k},{a})" for k, a in self.terms)
@@ -250,11 +262,12 @@ def prime_symbol_sums(q, g, s, z):
     """c[:, n] = sum of chi over the degree-n primes, n <= N, from the traces
     s_1..s_N and the divisor counts z: n c_n = -s_n - `_prime_power_part`,
     with integrality asserted.  `_check_newton_depth` bounds its int64 sums.
+    c is the transpose of an (N+1, n) array, so each column is contiguous.
     """
     N = s.shape[1]
     _check_newton_depth(q, g, N)
     z = z.astype(np.int64)
-    c = np.zeros((s.shape[0], N + 1), np.int64)
+    c = np.zeros((N + 1, s.shape[0]), np.int64).T
     for n in range(1, N + 1):
         acc = -s[:, n - 1] - _prime_power_part(q, n, c, z)
         c[:, n] = acc // n
@@ -267,20 +280,21 @@ def divisor_degree_counts(q, g, N, coeffs):
     """z[:, d] = number of distinct degree-d prime divisors of each row's Q,
     d <= N.  Degrees <= g are read at the row's code from the product sieve;
     the cofactor beyond degree g is one prime, as 2(g+1) > 2g+1, of the
-    degree those leave."""
+    degree those leave.  z is the transpose of an (N+1, n) array, so each
+    column is contiguous."""
     D = 2 * g + 1
     codes = coeffs[:, :D] @ q ** np.arange(D, dtype=np.int64)
     table = get_prime_table(q, g)
-    z = np.zeros((len(coeffs), N + 1), np.int16)
+    z = np.zeros((N + 1, len(coeffs)), np.int16)
     cof_deg = np.full(len(coeffs), D, np.int64)
     for d in range(1, g + 1):
         count = divisor_counts(table.irreducibles(d), D, q)[codes]
         cof_deg -= d * count.astype(np.int64)
         if d <= N:
-            z[:, d] = count
+            z[d] = count
     rows = np.flatnonzero((cof_deg >= 1) & (cof_deg <= N))
-    z[rows, cof_deg[rows]] += 1
-    return z
+    z[cof_deg[rows], rows] += 1
+    return z.T
 
 
 def _newton_matrix(A, N):
@@ -328,6 +342,30 @@ def _map_chunks(func, rows):
 
 # -- ensemble data (traces for every curve) -----------------------------------
 
+@dataclass(frozen=True)
+class WeightedRows:
+    """Trace rows standing for the curves of an ensemble: row i of `rows`
+    (r, N) int64 stands for even[i] curves.  Over those curves the rows'
+    s_n are s_n at even n, and sign^n s_n at odd n, for signs summing to
+    odd[i]; so a sum over curves of a function that the quadratic twist
+    negates is its sum over rows weighted by `odd`, and of one it keeps,
+    weighted by `even` (both int64)."""
+    rows: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
+
+    def sliced(self, N):
+        return WeightedRows(self.rows[:, :N], self.even, self.odd)
+
+    def check(self, count):
+        """Raise ArithmeticError unless the rows stand for `count` curves and
+        no signed count exceeds its row's count."""
+        if int(self.even.sum()) != count or (np.abs(self.odd) > self.even).any():
+            raise ArithmeticError(f"weighted trace rows stand for {int(self.even.sum())} "
+                                  f"curves, not {count}, or a signed count exceeds its "
+                                  "row's count")
+
+
 @dataclass
 class EnsembleData:
     q: int
@@ -335,6 +373,7 @@ class EnsembleData:
     N: int
     coeffs: np.ndarray  # uint8 (n, 2g+2) including the leading 1; rows in code order
     s: np.ndarray       # int64 (n, N)
+    weighted: WeightedRows = field(default=None, repr=False)  # see `weighted_rows`
 
     @property
     def count(self):
@@ -343,12 +382,21 @@ class EnsembleData:
     def curve(self, i):
         return Curve(q=self.q, g=self.g, Q=tuple(int(c) for c in self.coeffs[i]))
 
+    def weighted_rows(self):
+        """The rows the trace statistics sum over: as given, else built on
+        first use as the `distinct_rows` of `s`, weighted by their counts."""
+        if self.weighted is None:
+            rows, counts = distinct_rows(self.s)
+            self.weighted = WeightedRows(rows, counts, counts)
+        return self.weighted
+
     def sliced(self, N):
         if N < 0:
             raise ValueError(f"cannot slice traces through N={N}")
         if N > self.N:
             raise ValueError(f"data holds traces through N={self.N}, need {N}")
-        return EnsembleData(self.q, self.g, N, self.coeffs, self.s[:, :N])
+        weighted = None if self.weighted is None else self.weighted.sliced(N)
+        return EnsembleData(self.q, self.g, N, self.coeffs, self.s[:, :N], weighted)
 
 
 def compute_ensemble_data(q, g, N, *, budget=DEFAULT_BUDGET):
@@ -357,7 +405,9 @@ def compute_ensemble_data(q, g, N, *, budget=DEFAULT_BUDGET):
     `TraceEngine` runs only on the least code of each AGL(1, q) orbit (see
     `agl_orbits`), and `AglOrbits.scatter` gives every curve chi(l)^n times
     its representative's s_n, so `s` is bit-identical to an engine pass over
-    all curves.  A failed orbit invariant raises ArithmeticError.
+    all curves.  The representatives' traces are also the weighted rows,
+    with the orbit sizes and signed counts as weights.  A failed orbit
+    invariant raises ArithmeticError.
     The chunks run in the calling thread: a thread pool lost to one thread
     at every measured point, as BLAS already threads the matmul.
     """
@@ -366,8 +416,11 @@ def compute_ensemble_data(q, g, N, *, budget=DEFAULT_BUDGET):
     coeffs = monic_rows(codes, D, q)
     engine = TraceEngine(q, g, N)
     orbits = agl_orbits(q, g, codes, coeffs)
-    s = orbits.scatter(engine.traces(monic_rows(orbits.reps, D, q)))
-    return EnsembleData(q=q, g=g, N=N, coeffs=coeffs, s=s)
+    weighted = WeightedRows(engine.traces(monic_rows(orbits.reps, D, q)),
+                            orbits.sizes, orbits.twists)
+    weighted.check(EnsembleSpec(q, g).count)
+    s = orbits.scatter(weighted.rows)
+    return EnsembleData(q=q, g=g, N=N, coeffs=coeffs, s=s, weighted=weighted)
 
 
 @dataclass
@@ -375,13 +428,15 @@ class AglOrbits:
     """The orbits of the ensemble under Q(x) -> l^-(2g+1) Q(l x + b).
 
     Per orbit: `reps`, its least code (ascending), `sizes`, its number of
-    curves, and `fixed`, whether a non-square l fixes it.  Per curve, in
-    ensemble row order: `orbit`, the index of its orbit, and `sign`, chi(l)
-    for an l that carries its representative onto its translation orbit,
-    so s_n of the curve is sign^n times its representative's.
+    curves, `twists`, the sum of its curves' signs (both int64), and
+    `fixed`, whether a non-square l fixes it.  Per curve, in ensemble row
+    order: `orbit`, the index of its orbit, and `sign`, chi(l) for an l
+    that carries its representative onto its translation orbit, so s_n of
+    the curve is sign^n times its representative's.
     """
     reps: np.ndarray
     sizes: np.ndarray
+    twists: np.ndarray
     fixed: np.ndarray
     orbit: np.ndarray
     sign: np.ndarray
@@ -400,7 +455,7 @@ class AglOrbits:
         if s_reps[self.fixed, ::2].any():
             raise ArithmeticError("an orbit fixed by a non-square scaling has a nonzero "
                                   "odd-power trace")
-        if s_reps[np.bincount(self.orbit, self.sign, len(self.reps)) != 0, ::2].any():
+        if s_reps[self.twists != 0, ::2].any():
             raise ArithmeticError("an orbit's odd-power traces do not sum to 0 over its "
                                   "curves: a twist sign is lost")
         s = s_reps.take(self.orbit, axis=0)
@@ -463,15 +518,16 @@ def agl_orbits(q, g, codes, coeffs):
         scale = np.array([pow(l, (i - D) % (q - 1), q) for i in range(D)],
                          np.min_scalar_type((q - 1) ** 2))
         images[:, l - 1] = t_of[row_of[digit_codes(mod(digits * scale, q), q)]]
-    best = images.argmin(axis=1)
     least, rep_of = np.unique(images.min(axis=1), return_inverse=True)
     chi = np.array(legendre_table(q), np.int8)
+    t_sign = chi[images.argmin(axis=1) + 1]
     sizes = np.bincount(rep_of, t_sizes).astype(np.int64)
+    twists = np.bincount(rep_of, t_sizes * t_sign, len(least)).astype(np.int64)
     check_orbit_sizes(q, g, t_sizes, sizes)
     nonsquare = np.flatnonzero(chi[1:] == -1)
     fixed = (images[least][:, nonsquare] == least[:, None]).any(axis=1)
-    return AglOrbits(reps=t_codes[least], sizes=sizes, fixed=fixed, orbit=rep_of[t_of],
-                     sign=chi[best + 1][t_of])
+    return AglOrbits(reps=t_codes[least], sizes=sizes, twists=twists, fixed=fixed,
+                     orbit=rep_of[t_of], sign=t_sign[t_of])
 
 
 def check_orbit_sizes(q, g, translation_sizes, sizes):
@@ -614,14 +670,18 @@ def multi_char_sum(q, beta, degrees, method="direct", table=None, budget=DEFAULT
 
 # -- exact reductions ----------------------------------------------------------
 
-def distinct_rows(cols):
-    """Distinct rows of an (n, m) integer array, with their multiplicities.
+def distinct_rows(cols, weights=None):
+    """Distinct rows of an (n, m) integer array, with their multiplicities
+    or summed weights.
 
-    Returns (rows, counts): `rows` is a list of tuples of Python ints in
-    ascending lexicographic order (column 0 most significant), `counts` a
-    list of positive Python ints summing to n.  An exact sum over curves of
-    any function of these columns is then a count-weighted sum over `rows`,
-    which is far shorter because traces repeat heavily across the ensemble.
+    Returns (rows, counts): `rows` an (r, m) int64 array of the distinct
+    rows in ascending lexicographic order (column 0 most significant), and
+    `counts` the int64 number of input rows equal to each, or, given
+    `weights` of shape (n,) or (n, w), their int64 sum over those rows.  A
+    weighted sum over the input rows of any function of these columns is
+    then a sum over `rows` weighted by `counts`, which is far shorter
+    because traces repeat heavily; weights regroup `WeightedRows` on the
+    columns a statistic reads.
 
     The columns (any integer dtype with int64 values) are folded into one
     int64 key per row, in mixed radix: key = key * span_j + (col_j - min_j)
@@ -631,14 +691,18 @@ def distinct_rows(cols):
     would reach INT64_SAFE the running key is replaced by its rank among the
     distinct keys so far (then the column too, if that is still not enough:
     both ranges are then at most n < 2^31).  Ranks keep the order, so one
-    in-place sort of the keys groups the rows; `divmod` and the rank tables
-    decode each distinct key back into its row.
+    sort of the keys (in place, or an argsort to carry weights) groups the
+    rows; `divmod` and the rank tables decode each distinct key back into
+    its row.
     """
     n, m = cols.shape
-    if n == 0:
-        return [], []
-    if m == 0:
-        return [()], [n]
+    if weights is not None:
+        weights = np.asarray(weights, np.int64)
+    if n == 0 or m == 0:
+        groups = min(n, 1)
+        counts = (np.full(groups, n, np.int64) if weights is None
+                  else weights.sum(axis=0, keepdims=True)[:groups])
+        return np.zeros((groups, m), np.int64), counts
     key = None
     radix = 1   # every key lies in [0, radix)
     steps = []  # per column: (span, min, value table, table of the keys before it)
@@ -664,12 +728,17 @@ def distinct_rows(cols):
             key += digit
         radix *= span
         steps.append((span, lo, values, keys))
-    key.sort()
+    if weights is None:
+        key.sort()
+    else:
+        order = key.argsort()
+        key = key[order]
     new = np.empty(n, bool)
     new[0] = True
     np.not_equal(key[1:], key[:-1], out=new[1:])
     starts = np.flatnonzero(new)
-    counts = np.diff(starts, append=n)
+    counts = (np.diff(starts, append=n) if weights is None
+              else np.add.reduceat(weights[order], starts, axis=0))
     code = key[starts]
     rows = np.empty((len(code), m), np.int64)
     for j in reversed(range(m)):
@@ -678,17 +747,25 @@ def distinct_rows(cols):
         rows[:, j] = digit + lo if values is None else values[digit]
         if keys is not None:
             code = keys[code]
-    return list(map(tuple, rows.tolist())), counts.tolist()
+    return rows, counts
 
 
 # -- trace-product moments -----------------------------------------------------
 
-def trace_product_total(s, mspec):
-    """Integer total sum over curves of prod s_{k_j}^{a_j}, overflow-guarded:
-    int64 when n * prod max|s_k|^a_j stays below INT64_SAFE, else Python
-    ints over the distinct rows of the spec's own columns."""
-    n = s.shape[0]
-    prod = np.ones(n, np.int64)
+def trace_product_total(s, mspec, weight=None):
+    """Integer total over curves of prod s_{k_j}^{a_j}, overflow-guarded.
+
+    Row i of `s` is one curve, or, with `weight` the pair (even, odd) of a
+    `WeightedRows`, stands for even[i] curves; a spec that the twist
+    negates (`MomentSpec.twist_odd`) weighs it by odd[i] instead.  int64
+    when n * prod max|s_k|^a_j stays below INT64_SAFE, n the curve count,
+    else Python ints over the rows regrouped on the spec's own columns."""
+    if weight is None:
+        n, w = s.shape[0], None
+    else:
+        even, odd = weight
+        n, w = int(even.sum()), (odd if mspec.twist_odd else even)
+    prod = np.ones(s.shape[0], np.int64)
     bound = 1
     safe = True
     for k, a in mspec.terms:
@@ -703,10 +780,12 @@ def trace_product_total(s, mspec):
         if not safe:
             break
     if safe:
+        if w is not None:
+            prod *= w
         return int(prod.sum(dtype=np.int64))
-    rows, counts = distinct_rows(s[:, [k - 1 for k, _ in mspec.terms]])
+    rows, counts = distinct_rows(s[:, [k - 1 for k, _ in mspec.terms]], w)
     total = 0
-    for row, count in zip(rows, counts):
+    for row, count in zip(rows.tolist(), counts.tolist()):
         term = count
         for v, (_k, a) in zip(row, mspec.terms):
             term *= v ** a
@@ -767,7 +846,8 @@ def trace_product_moment(data, mspec):
     squares prediction and the matrix-integral asymptote attached."""
     if mspec.max_k > data.N:
         raise ValueError(f"traces available through N={data.N}, need k={mspec.max_k}")
-    total = trace_product_total(data.s, mspec)
+    weighted = data.weighted_rows()
+    total = trace_product_total(weighted.rows, mspec, (weighted.even, weighted.odd))
     empirical = HalfPowerRational.from_scaled_integer(
         data.q, total, data.count, mspec.total)
     squares = squares_prediction(data.q, mspec)
@@ -855,18 +935,19 @@ def prime_term_moment(decomp, k, l):
         raise ValueError("k beyond available traces")
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
-    values, counts = distinct_rows(decomp.c[:, [k]])
+    values, counts = distinct_rows(decomp.c[:, k:k + 1])
+    groups = list(zip(values[:, 0].tolist(), counts.tolist()))
     # sum over curves of pi_k - z_k, in Python ints: n pi_k passes 2^63 at
     # (3, 1) from k = 41 on; the int64 sum of z_k is at most n (2g+1)
     unit_total = n * irreducible_count(q, k) - int(decomp.z[:, k].sum(dtype=np.int64))
     if l == 0:
         p_power = Fraction(1)
     else:
-        tot = sum(cnt * v ** (2 * l) for (v,), cnt in zip(values, counts))
+        tot = sum(cnt * v ** (2 * l) for v, cnt in groups)
         p_power = Fraction(k ** (2 * l) * tot, n * q ** (l * k))
     delta2 = Fraction(k ** 2 * unit_total, n * q ** k)
     # ordered distinct pairs: (sum chi)^2 - sum chi^2
-    pair_tot = sum(cnt * v * v for (v,), cnt in zip(values, counts)) - unit_total
+    pair_tot = sum(cnt * v * v for v, cnt in groups) - unit_total
     p2_tuple = Fraction(k ** 2 * pair_tot, n * q ** k)
     return PrimeTermReport(q=q, g=data.g, k=k, l=l, curves=n,
                            p_power_mean=p_power, delta2_mean=delta2,

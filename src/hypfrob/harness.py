@@ -682,6 +682,8 @@ def _cmd_linstat(config):
     for g in config.g_range():
         modes = linstat.active_modes(tf, 2 * g)
         N = config.N if config.N is not None else max(modes, default=1)
+        if N < max(modes, default=0):  # refused before the ensemble is built or cached
+            raise ConfigError(f"need traces through k={modes[-1]}, have N={N}")
         data, _ = load_or_compute_data(config.q, g, N, cache_dir=config.cache_dir,
                                        budget=config.budget)
         rep = linstat.z_moments(data, tf, config.moments)

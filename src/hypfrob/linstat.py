@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ensemble import distinct_rows
+from .ensemble import INT64_SAFE, distinct_rows
 from .exact import QSqrt
 
 
@@ -355,10 +355,24 @@ def z_moments(data, tf, m):
     ks = active_modes(tf, N)
     if ks and data.N < ks[-1]:
         raise ValueError(f"need traces through k={ks[-1]}, have N={data.N}")
-    # the active modes are 1..ks[-1]; the weights can pass int64, so a and b
-    # are formed in Python ints, once per distinct row of those traces
-    rows, counts = distinct_rows(data.s[:, :len(ks)])
-    sums = _qsqrt_power_sums([w.parts(row) for row in rows], counts, q, m)
+    # the active modes are 1..ks[-1]: the weighted rows regrouped on those
+    # columns, with a and b per row in int64 while every partial sum stays
+    # below INT64_SAFE, else in Python ints (the weights grow like q^(N/2))
+    weighted = data.weighted_rows()
+    rows, weights = distinct_rows(weighted.rows[:, :len(ks)],
+                                  np.column_stack((weighted.even, weighted.odd)))
+    bound = abs(w.base) + sum(abs(wt) * int(np.abs(rows[:, k - 1]).max(initial=1))
+                              for k, wt in w.even_terms + w.odd_terms)
+    if bound < INT64_SAFE:
+        a = np.full(len(rows), w.base, np.int64)
+        b = np.zeros(len(rows), np.int64)
+        for part, part_terms in ((a, w.even_terms), (b, w.odd_terms)):
+            for k, wt in part_terms:
+                part += wt * rows[:, k - 1]
+        parts = zip(a.tolist(), b.tolist())
+    else:
+        parts = map(w.parts, rows.tolist())
+    sums = _qsqrt_power_sums(parts, weights.tolist(), q, m)
     scale = w.scale
     raw = []
     for j in range(1, m + 1):
@@ -390,14 +404,15 @@ def _qsqrt_int_pow(x, e):
     return out
 
 
-def _qsqrt_power_sums(rows, counts, q, m):
-    """sums[j] = (sum count a', sum count b') over rows (a, b), where
-    (a + b sqrt q)^j = a' + b' sqrt q, in exact integer arithmetic."""
+def _qsqrt_power_sums(parts, weights, q, m):
+    """sums[j] = (sum even a', sum odd b') over rows (a, b) with weights
+    (even, odd), where (a + b sqrt q)^j = a' + b' sqrt q, in exact integer
+    arithmetic.  The twist negates b and so b', and keeps a'."""
     sums = {j: [0, 0] for j in range(1, m + 1)}
-    for (a, b), count in zip(rows, counts):
+    for (a, b), (even, odd) in zip(parts, weights):
         pa, pb = 1, 0
         for j in range(1, m + 1):
             pa, pb = pa * a + q * pb * b, pa * b + pb * a
-            sums[j][0] += count * pa
-            sums[j][1] += count * pb
+            sums[j][0] += even * pa
+            sums[j][1] += odd * pb
     return {j: (u, v) for j, (u, v) in sums.items()}

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from hypfrob import cache as cachemod
 from hypfrob import ensemble as ens
 from hypfrob import lfunction as lf
+from hypfrob import linstat
 from hypfrob import polyfield as pf
 from hypfrob.charsym import jacobi_symbol, legendre
 from hypfrob.cli import main
@@ -325,12 +327,79 @@ class TestTranslationOrbits:
         assert np.array_equal(orbits.orbit, orbits.orbit[least])
         assert np.array_equal(orbits.sign, orbits.sign[least])
         assert np.array_equal(np.bincount(orbits.orbit), orbits.sizes)
+        assert np.array_equal(np.bincount(orbits.orbit, orbits.sign), orbits.twists)
         fixed = np.count_nonzero(np.bincount(least) == 1)
         assert (fixed > 0) == ((2 * g + 1) % q == 0)
         assert set(np.unique(orbits.sign)) <= {-1, 1}
         # a representative is in its own orbit, with sign +1
         assert np.array_equal(orbits.orbit[rows_of_reps], np.arange(len(orbits.reps)))
         assert (orbits.sign[rows_of_reps] == 1).all()
+
+    @pytest.mark.parametrize("q,g", ORBIT_POINTS)
+    def test_weighted_rows_rebuild_the_per_curve_histogram(self, q, g):
+        # the orbit rows regrouped by value: a row with weights (even, odd)
+        # stands for (even + odd) / 2 curves with its traces and
+        # (even - odd) / 2 with their twist, odd columns negated; together
+        # they are the histogram of the per-curve traces, which
+        # `test_orbit_route_equals_a_full_engine_pass` checks against a full
+        # engine pass
+        data = ens.compute_ensemble_data(q, g, 2 * g + 2)
+        weighted = data.weighted_rows()
+        assert weighted.rows.dtype == weighted.even.dtype == weighted.odd.dtype == np.int64
+        rows, sums = ens.distinct_rows(weighted.rows,
+                                       np.column_stack((weighted.even, weighted.odd)))
+        even, odd = sums.T
+        assert even.sum() == data.count and ((even + odd) % 2 == 0).all()
+        twisted = rows.copy()
+        twisted[:, ::2] *= -1
+        expanded, counts = ens.distinct_rows(np.concatenate((rows, twisted)),
+                                             np.concatenate(((even + odd) // 2,
+                                                             (even - odd) // 2)))
+        histogram, curves = ens.distinct_rows(data.s)
+        assert np.array_equal(expanded[counts != 0], histogram)
+        assert np.array_equal(counts[counts != 0], curves)
+        # the odd weights are the per-curve signs summed over each value
+        orbits = ens.agl_orbits(q, g, ens.squarefree_codes(q, g), data.coeffs)
+        unit = np.ones(data.count, np.int64)
+        per_curve = ens.distinct_rows(weighted.rows[orbits.orbit],
+                                      np.column_stack((unit, orbits.sign)))
+        assert np.array_equal(per_curve[0], rows)
+        assert np.array_equal(per_curve[1], sums)
+
+    def test_sliced_data_carries_its_weighted_rows(self, data_g2):
+        fresh = data_g2.sliced(3)
+        assert np.array_equal(fresh.weighted_rows().rows, data_g2.weighted_rows().rows[:, :3])
+        assert fresh.weighted_rows().even is data_g2.weighted_rows().even
+        # rows not built yet are built by the sliced data, over its own columns
+        read_back = ens.EnsembleData(3, 2, data_g2.N, data_g2.coeffs, data_g2.s).sliced(3)
+        rows, counts = ens.distinct_rows(data_g2.s[:, :3])
+        weighted = read_back.weighted_rows()
+        assert np.array_equal(weighted.rows, rows)
+        assert np.array_equal(weighted.even, counts) and np.array_equal(weighted.odd, counts)
+        assert read_back.weighted_rows() is weighted  # built once
+
+    @pytest.mark.parametrize("q,g", [(3, 2), (5, 2)])
+    def test_weights_that_miscount_the_curves_are_refused(self, q, g, monkeypatch):
+        # sizes and signed counts past `check_orbit_sizes`: one curve short,
+        # and the same total with a signed count above its orbit's size
+        real = ens.agl_orbits
+        orbits = real(q, g, ens.squarefree_codes(q, g),
+                      pf.monic_rows(ens.squarefree_codes(q, g), 2 * g + 1, q))
+        short = orbits.sizes.copy()
+        short[0] -= 1
+        i = np.flatnonzero(orbits.twists)[0]
+        j = (i + 1) % len(short)
+        over = orbits.sizes.copy()
+        moved = over[i] - abs(orbits.twists[i]) + 1
+        over[i] -= moved
+        over[j] += moved
+        assert over.sum() == orbits.sizes.sum() and abs(orbits.twists[i]) > over[i]
+        ens.compute_ensemble_data(q, g, 4)
+        for sizes in (short, over):
+            monkeypatch.setattr(ens, "agl_orbits", lambda *args, sizes=sizes: dataclasses.replace(
+                real(*args), sizes=sizes))
+            with pytest.raises(ArithmeticError, match="weighted trace rows"):
+                ens.compute_ensemble_data(q, g, 4)
 
     @pytest.mark.parametrize("q,g", ORACLE_POINTS)
     def test_representatives_are_the_least_codes_of_their_orbits(self, q, g):
@@ -637,8 +706,8 @@ class TestTraceProductMoment:
         for k, a in spec.terms:
             bound *= int(np.abs(s[:, k - 1]).max()) ** a
         grouped, real = [], ens.distinct_rows
-        monkeypatch.setattr(ens, "distinct_rows",
-                            lambda cols: grouped.append(cols.shape) or real(cols))
+        monkeypatch.setattr(ens, "distinct_rows", lambda cols, weights=None: grouped.append(
+            (cols.shape, weights)) or real(cols, weights))
         expected = 0
         for row in s.tolist():
             term = 1
@@ -646,14 +715,76 @@ class TestTraceProductMoment:
                 term *= row[k - 1] ** a
             expected += term
         assert ens.trace_product_total(s, spec) == expected
-        # past the guard the spec's own columns are grouped, else int64 sums
-        assert grouped == ([(s.shape[0], len(spec.terms))] if bound >= ens.INT64_SAFE else [])
+        # past the guard the spec's own columns are grouped, unweighted as
+        # each row is one curve, else int64 sums
+        assert grouped == ([((s.shape[0], len(spec.terms)), None)]
+                           if bound >= ens.INT64_SAFE else [])
         if text in ("(5,5)", "(1,1);(6,4)"):
             assert grouped  # these two cross the guard at both q
+
+    @pytest.mark.parametrize("q", [11, 13])
+    @pytest.mark.parametrize("text", ["(6,5)", "(5,4)", "(1,1);(6,3)", "(5,5)", "(1,1);(6,4)",
+                                      "(1,1);(2,1)"])
+    def test_weighted_rows_match_per_curve_products(self, genus2_large_q, monkeypatch,
+                                                    q, text):
+        # the orbit rows of a fresh ensemble, and the distinct rows of its
+        # traces read back as a cache would give them, against the Python-int
+        # sum over curves; the guard is decided on the curve count, as above
+        data = genus2_large_q[q]
+        spec = ens.MomentSpec.parse(text)
+        expected = 0
+        for row in data.s.tolist():
+            term = 1
+            for k, a in spec.terms:
+                term *= row[k - 1] ** a
+            expected += term
+        orbit_rows = data.weighted_rows()
+        assert len(orbit_rows.rows) == PINNED_ORBIT_COUNTS[(q, 2)]
+        read_back = ens.EnsembleData(q, 2, data.N, data.coeffs, data.s).weighted_rows()
+        assert np.array_equal(read_back.even, read_back.odd)
+        grouped, real = [], ens.distinct_rows
+        monkeypatch.setattr(ens, "distinct_rows", lambda cols, weights=None: grouped.append(
+            cols.shape[0]) or real(cols, weights))
+        for weighted in (orbit_rows, read_back):
+            total = ens.trace_product_total(weighted.rows, spec,
+                                            (weighted.even, weighted.odd))
+            assert total == expected
+        bound = data.count
+        for k, a in spec.terms:
+            bound *= int(np.abs(data.s[:, k - 1]).max()) ** a
+        assert grouped == ([len(orbit_rows.rows), len(read_back.rows)]
+                           if bound >= ens.INT64_SAFE else [])
+        if spec.twist_odd:
+            assert expected == 0
 
     def test_out_of_range_flagged(self, data_g1):
         rep = ens.trace_product_moment(data_g1, ens.MomentSpec.parse("(2,2)"))
         assert not rep.in_range  # 4 > 2g - 1 = 1
+
+
+class TestZMomentRoutes:
+    @pytest.mark.parametrize("tf", [linstat.triangular(1), linstat.triangular(3),
+                                    linstat.parse_test_function("0:1;1/4:2,-4;1/2")])
+    def test_int64_and_python_routes_agree(self, data_g2, genus2_large_q, monkeypatch, tf):
+        # the Python route is forced by a guard of 0; ZWeights.parts runs on
+        # that route only.  Orbit rows and the distinct rows of a read-back
+        # copy give the same reports on both routes
+        calls, parts = [], linstat.ZWeights.parts
+        monkeypatch.setattr(linstat.ZWeights, "parts",
+                            lambda self, s: calls.append(1) or parts(self, s))
+        for fresh in (data_g2, genus2_large_q[13]):
+            read_back = ens.EnsembleData(fresh.q, fresh.g, fresh.N, fresh.coeffs, fresh.s)
+            reports = []
+            for data in (fresh, read_back):
+                for guard in (ens.INT64_SAFE, 0):
+                    monkeypatch.setattr(linstat, "INT64_SAFE", guard)
+                    calls.clear()
+                    reports.append(linstat.z_moments(data, tf, 5))
+                    assert bool(calls) == (guard == 0)
+            first = reports[0]
+            for rep in reports[1:]:
+                assert rep.raw_moments == first.raw_moments
+                assert rep.central_moments == first.central_moments
 
 
 class TestSquaresPrediction:
@@ -806,21 +937,57 @@ class TestDistinctRows:
         # draw rows from a small pool, so many rows repeat
         given_rows = [pool[i % len(pool)] for i in picks]
         rows, counts = ens.distinct_rows(np.array(given_rows, np.int64))
-        assert rows == sorted(set(given_rows))
-        assert all(type(v) is int for row in rows for v in row)
-        assert all(c > 0 for c in counts) and sum(counts) == len(given_rows)
-        rebuilt = [row for row, c in zip(rows, counts) for _ in range(c)]
+        assert rows.dtype == counts.dtype == np.int64
+        assert rows.shape == (len(counts), len(given_rows[0]))
+        assert list(map(tuple, rows.tolist())) == sorted(set(given_rows))
+        assert (counts > 0).all() and counts.sum() == len(given_rows)
+        rebuilt = [tuple(row) for row, c in zip(rows.tolist(), counts.tolist())
+                   for _ in range(c)]
         assert rebuilt == sorted(given_rows)
 
     def test_no_columns_or_no_rows(self):
-        assert ens.distinct_rows(np.zeros((5, 0), np.int64)) == ([()], [5])
-        assert ens.distinct_rows(np.zeros((0, 3), np.int64)) == ([], [])
+        for cols, rows, counts in ((np.zeros((5, 0), np.int64), [[]], [5]),
+                                   (np.zeros((0, 3), np.int64), [], [])):
+            got_rows, got_counts = ens.distinct_rows(cols)
+            assert got_rows.shape == (len(rows), cols.shape[1])
+            assert got_rows.tolist() == rows and got_counts.tolist() == counts
+            # weights of shape (n,) and (n, w) sum to that shape per row
+            for weights in (np.arange(len(cols)) - 2, np.ones((len(cols), 2), np.int64)):
+                got_rows, sums = ens.distinct_rows(cols, weights)
+                assert got_rows.shape == (len(rows), cols.shape[1])
+                assert sums.dtype == np.int64 and sums.shape[1:] == weights.shape[1:]
+                assert sums.tolist() == ([weights.sum(axis=0).tolist()] if rows else [])
+
+    @given(st.integers(1, 3).flatmap(lambda m: st.lists(
+        st.tuples(st.tuples(*[st.integers(-3, 3)] * m), st.integers(-2 ** 40, 2 ** 40),
+                  st.integers(-5, 5)), min_size=1, max_size=40)))
+    def test_weights_are_summed_per_distinct_row(self, drawn):
+        cols = np.array([row for row, _, _ in drawn], np.int64)
+        weights = np.array([[u, v] for _, u, v in drawn], np.int64)
+        sums = {}
+        for row, u, v in drawn:
+            acc = sums.setdefault(row, [0, 0])
+            acc[0] += u
+            acc[1] += v
+        rows, got = ens.distinct_rows(cols, weights)
+        assert list(map(tuple, rows.tolist())) == sorted(sums)
+        assert got.tolist() == [sums[row] for row in sorted(sums)]
+        rows_1d, got_1d = ens.distinct_rows(cols, weights[:, 1])
+        assert np.array_equal(rows_1d, rows) and np.array_equal(got_1d, got[:, 1])
+        # unit weights give the multiplicities
+        assert np.array_equal(ens.distinct_rows(cols, np.ones(len(cols), np.int64))[1],
+                              ens.distinct_rows(cols)[1])
 
     @staticmethod
     def counter_oracle(cols):
         tally = Counter(tuple(int(v) for v in row) for row in cols)
         rows = sorted(tally)
         return rows, [tally[row] for row in rows]
+
+    @staticmethod
+    def as_lists(result):
+        rows, counts = result
+        return list(map(tuple, rows.tolist())), counts.tolist()
 
     @pytest.mark.parametrize("dtype", [np.int16, np.uint8])
     def test_small_dtypes_match_counter(self, dtype):
@@ -831,14 +998,14 @@ class TestDistinctRows:
             pool = rng.integers(info.min, info.max, (30, m), endpoint=True, dtype=dtype)
             pool[0], pool[1] = info.min, info.max
             cols = pool[rng.integers(0, len(pool), 500)]
-            assert ens.distinct_rows(cols) == self.counter_oracle(cols)
+            assert self.as_lists(ens.distinct_rows(cols)) == self.counter_oracle(cols)
 
     def test_non_contiguous_column_slice(self):
         rng = np.random.default_rng(6)
         full = rng.integers(-40, 40, (3000, 7)) // 9
         cols = full[::2, 1:6:2]
         assert not cols.flags.c_contiguous
-        assert ens.distinct_rows(cols) == self.counter_oracle(cols)
+        assert self.as_lists(ens.distinct_rows(cols)) == self.counter_oracle(cols)
 
     def test_rank_rule_on_a_wide_column_and_on_many_columns(self, monkeypatch):
         ranked = []
@@ -848,7 +1015,7 @@ class TestDistinctRows:
         # one column spanning nearly all of int64
         edge = np.array([-2 ** 63, -2 ** 63 + 1, -1, 0, 2 ** 62, 2 ** 63 - 1], np.int64)
         wide = edge[rng.integers(0, len(edge), (200, 1))]
-        assert ens.distinct_rows(wide) == self.counter_oracle(wide)
+        assert self.as_lists(ens.distinct_rows(wide)) == self.counter_oracle(wide)
         assert ranked
         # columns of span 2^13 each: their span product passes 2^62 from m = 5
         for m in range(5, 10):
@@ -856,13 +1023,13 @@ class TestDistinctRows:
             pool = rng.integers(-2 ** 12, 2 ** 12, (40, m))
             pool[0], pool[1] = -2 ** 12, 2 ** 12 - 1
             cols = pool[rng.integers(0, len(pool), 400)]
-            assert ens.distinct_rows(cols) == self.counter_oracle(cols)
+            assert self.as_lists(ens.distinct_rows(cols)) == self.counter_oracle(cols)
             assert ranked
 
     def test_trace_columns_match_counter(self, data_g2):
         for k in range(1, data_g2.N + 1):
             cols = data_g2.s[:, :k]
-            assert ens.distinct_rows(cols) == self.counter_oracle(cols)
+            assert self.as_lists(ens.distinct_rows(cols)) == self.counter_oracle(cols)
 
 
 class TestCacheRoundTrip:

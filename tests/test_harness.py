@@ -167,6 +167,16 @@ class TestExitCodes:
         assert not list(tmp_path.glob("linstat*"))
         assert not (tmp_path / "cache").exists()  # refused before any ensemble is cached
 
+    def test_linstat_depth_below_the_active_modes_is_a_config_error(self, tmp_path, capsys):
+        # triangular:1 at g = 2 reads s_1..s_3
+        code = run_cli(["linstat", "--q", "3", "--g", "2", "--N", "1", "--tf", "triangular:1",
+                        "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path)])
+        assert code == 2
+        assert "need traces through k=3, have N=1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())  # no report, and no trace cache written
+        assert run_cli(["linstat", "--q", "3", "--g", "2", "--N", "3", "--tf", "triangular:1",
+                        "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path)]) == 0
+
     def test_negative_trace_depth_is_a_config_error(self, tmp_path, capsys):
         for command in (["lfun", "--g", "2"], ["primes"], ["moment", "--g", "1"]):
             code = run_cli(command + ["--q", "3", "--N", "-1", "--cache-dir",

@@ -11,11 +11,10 @@ character values and scaled traces are small integers, sums are checked
 against 64-bit bounds, and every ensemble statistic is reduced to an
 integer total before any floating-point rendering.
 
-Trace statistics sum over `WeightedRows`, not over curves: row i stands
-for even[i] curves, and a statistic that the quadratic twist negates is
-weighted by odd[i] instead.  Freshly computed data carries the AGL(1, q)
-representatives, weighted by their orbit sizes and signed counts; any
-other data (a cache read) gets its `distinct_rows` with their counts.
+Trace statistics sum over the trace histogram, not over curves: the
+distinct rows of s_1..s_N with their curve counts.  Freshly computed data
+builds it from the AGL(1, q) representatives (`AglOrbits.histogram`); any
+other data (a cache read) gets the `distinct_rows` of its traces.
 Totals that could pass the 64-bit bounds are Python-int sums over the
 rows regrouped on the columns they read.
 
@@ -37,9 +36,9 @@ the representatives, and `AglOrbits.scatter` gives each curve its orbit's
 row with the odd columns times its sign.  Invariants checked on every
 pass, else ArithmeticError: translation orbits of size 1 or q whose sizes
 sum to (q-1) q^(2g), so every curve is reached, orbit sizes dividing
-q(q-1) and summing to (q-1) q^(2g), each orbit's signed count at most its
-size, s_n = 0 at odd n on orbits fixed by a non-square l, and on each
-orbit the odd s_n summing to 0 over its curves.
+q(q-1) and summing to (q-1) q^(2g), each orbit's curves splitting into
+non-negative counts of each sign, s_n = 0 at odd n on orbits fixed by a
+non-square l, and on each orbit the odd s_n summing to 0 over its curves.
 """
 
 import itertools
@@ -146,11 +145,6 @@ class MomentSpec:
     def max_k(self):
         return max(k for k, _ in self.terms)
 
-    @property
-    def twist_odd(self):
-        """Whether the quadratic twist, s_k -> (-1)^k s_k, negates the product."""
-        return self.total % 2 == 1
-
     def label(self):
         return ";".join(f"({k},{a})" for k, a in self.terms)
 
@@ -240,6 +234,8 @@ def _check_newton_depth(q, g, N):
     K_n q^(n/2) since K_1 = 2g (no higher powers at n = 1) and K_n >= 4g^2
     for n >= 2.
     """
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
     k_n = N * math.comb(2 * g, N) + 2 * g * sum(math.comb(2 * g, i) for i in range(1, N))
     if k_n ** 2 * q ** N >= 2 ** 126:
         raise ValueError(
@@ -342,30 +338,6 @@ def _map_chunks(func, rows):
 
 # -- ensemble data (traces for every curve) -----------------------------------
 
-@dataclass(frozen=True)
-class WeightedRows:
-    """Trace rows standing for the curves of an ensemble: row i of `rows`
-    (r, N) int64 stands for even[i] curves.  Over those curves the rows'
-    s_n are s_n at even n, and sign^n s_n at odd n, for signs summing to
-    odd[i]; so a sum over curves of a function that the quadratic twist
-    negates is its sum over rows weighted by `odd`, and of one it keeps,
-    weighted by `even` (both int64)."""
-    rows: np.ndarray
-    even: np.ndarray
-    odd: np.ndarray
-
-    def sliced(self, N):
-        return WeightedRows(self.rows[:, :N], self.even, self.odd)
-
-    def check(self, count):
-        """Raise ArithmeticError unless the rows stand for `count` curves and
-        no signed count exceeds its row's count."""
-        if int(self.even.sum()) != count or (np.abs(self.odd) > self.even).any():
-            raise ArithmeticError(f"weighted trace rows stand for {int(self.even.sum())} "
-                                  f"curves, not {count}, or a signed count exceeds its "
-                                  "row's count")
-
-
 @dataclass
 class EnsembleData:
     q: int
@@ -373,7 +345,7 @@ class EnsembleData:
     N: int
     coeffs: np.ndarray  # uint8 (n, 2g+2) including the leading 1; rows in code order
     s: np.ndarray       # int64 (n, N)
-    weighted: WeightedRows = field(default=None, repr=False)  # see `weighted_rows`
+    histogram: tuple = field(default=None, repr=False)  # see `trace_histogram`
 
     @property
     def count(self):
@@ -382,21 +354,13 @@ class EnsembleData:
     def curve(self, i):
         return Curve(q=self.q, g=self.g, Q=tuple(int(c) for c in self.coeffs[i]))
 
-    def weighted_rows(self):
-        """The rows the trace statistics sum over: as given, else built on
-        first use as the `distinct_rows` of `s`, weighted by their counts."""
-        if self.weighted is None:
-            rows, counts = distinct_rows(self.s)
-            self.weighted = WeightedRows(rows, counts, counts)
-        return self.weighted
-
-    def sliced(self, N):
-        if N < 0:
-            raise ValueError(f"cannot slice traces through N={N}")
-        if N > self.N:
-            raise ValueError(f"data holds traces through N={self.N}, need {N}")
-        weighted = None if self.weighted is None else self.weighted.sliced(N)
-        return EnsembleData(self.q, self.g, N, self.coeffs, self.s[:, :N], weighted)
+    def trace_histogram(self):
+        """(rows, counts), the distinct rows of `s` and their int64 curve
+        counts, which every trace statistic sums over: as given, else built
+        on first use as `distinct_rows(s)`."""
+        if self.histogram is None:
+            self.histogram = distinct_rows(self.s)
+        return self.histogram
 
 
 def compute_ensemble_data(q, g, N, *, budget=DEFAULT_BUDGET):
@@ -405,9 +369,8 @@ def compute_ensemble_data(q, g, N, *, budget=DEFAULT_BUDGET):
     `TraceEngine` runs only on the least code of each AGL(1, q) orbit (see
     `agl_orbits`), and `AglOrbits.scatter` gives every curve chi(l)^n times
     its representative's s_n, so `s` is bit-identical to an engine pass over
-    all curves.  The representatives' traces are also the weighted rows,
-    with the orbit sizes and signed counts as weights.  A failed orbit
-    invariant raises ArithmeticError.
+    all curves; `AglOrbits.histogram` gives the trace histogram from the
+    same rows.  A failed orbit invariant raises ArithmeticError.
     The chunks run in the calling thread: a thread pool lost to one thread
     at every measured point, as BLAS already threads the matmul.
     """
@@ -416,11 +379,10 @@ def compute_ensemble_data(q, g, N, *, budget=DEFAULT_BUDGET):
     coeffs = monic_rows(codes, D, q)
     engine = TraceEngine(q, g, N)
     orbits = agl_orbits(q, g, codes, coeffs)
-    weighted = WeightedRows(engine.traces(monic_rows(orbits.reps, D, q)),
-                            orbits.sizes, orbits.twists)
-    weighted.check(EnsembleSpec(q, g).count)
-    s = orbits.scatter(weighted.rows)
-    return EnsembleData(q=q, g=g, N=N, coeffs=coeffs, s=s, weighted=weighted)
+    s_reps = engine.traces(monic_rows(orbits.reps, D, q))
+    histogram = orbits.histogram(s_reps)
+    return EnsembleData(q=q, g=g, N=N, coeffs=coeffs, s=orbits.scatter(s_reps),
+                        histogram=histogram)
 
 
 @dataclass
@@ -461,6 +423,25 @@ class AglOrbits:
         s = s_reps.take(self.orbit, axis=0)
         s[:, ::2] *= self.sign[:, None]
         return s
+
+    def histogram(self, s_reps):
+        """The trace histogram of the ensemble from the traces of the
+        representatives: `distinct_rows` of the scattered traces, without
+        scattering.  An orbit has (size + twist) / 2 curves of sign 1, with
+        its representative's row, and (size - twist) / 2 of sign -1, with
+        that row's odd columns negated.
+
+        Raises ArithmeticError unless those counts are non-negative integers
+        summing to the number of curves.
+        """
+        doubled = np.concatenate((self.sizes + self.twists, self.sizes - self.twists))
+        if (doubled < 0).any() or (doubled & 1).any() or int(self.sizes.sum()) != len(self.orbit):
+            raise ArithmeticError(f"orbit sizes {int(self.sizes.sum())} and signed counts do "
+                                  f"not split into the {len(self.orbit)} curves")
+        keep = np.flatnonzero(doubled)
+        rows = s_reps.take(keep, axis=0, mode="wrap")  # index r + i is row i, of sign -1
+        rows[np.searchsorted(keep, len(s_reps)):, ::2] *= -1
+        return distinct_rows(rows, doubled[keep] // 2)
 
 
 def agl_orbits(q, g, codes, coeffs):
@@ -680,8 +661,9 @@ def distinct_rows(cols, weights=None):
     `weights` of shape (n,) or (n, w), their int64 sum over those rows.  A
     weighted sum over the input rows of any function of these columns is
     then a sum over `rows` weighted by `counts`, which is far shorter
-    because traces repeat heavily; weights regroup `WeightedRows` on the
-    columns a statistic reads.
+    because traces repeat heavily: the trace histogram is `distinct_rows`
+    of the traces, and weights regroup it on the columns a statistic
+    reads.
 
     The columns (any integer dtype with int64 values) are folded into one
     int64 key per row, in mixed radix: key = key * span_j + (col_j - min_j)
@@ -752,24 +734,18 @@ def distinct_rows(cols, weights=None):
 
 # -- trace-product moments -----------------------------------------------------
 
-def trace_product_total(s, mspec, weight=None):
-    """Integer total over curves of prod s_{k_j}^{a_j}, overflow-guarded.
-
-    Row i of `s` is one curve, or, with `weight` the pair (even, odd) of a
-    `WeightedRows`, stands for even[i] curves; a spec that the twist
-    negates (`MomentSpec.twist_odd`) weighs it by odd[i] instead.  int64
-    when n * prod max|s_k|^a_j stays below INT64_SAFE, n the curve count,
-    else Python ints over the rows regrouped on the spec's own columns."""
-    if weight is None:
-        n, w = s.shape[0], None
-    else:
-        even, odd = weight
-        n, w = int(even.sum()), (odd if mspec.twist_odd else even)
-    prod = np.ones(s.shape[0], np.int64)
+def trace_product_total(rows, mspec, counts):
+    """Integer total of prod s_{k_j}^{a_j} over trace rows, row i counted
+    counts[i] times (int64), overflow-guarded.  int64 when
+    n * prod max|s_k|^a_j stays below INT64_SAFE, n = sum(counts) the curve
+    count, else Python ints over the rows regrouped on the spec's own
+    columns."""
+    n = int(counts.sum())
+    prod = counts
     bound = 1
     safe = True
     for k, a in mspec.terms:
-        col = s[:, k - 1]
+        col = rows[:, k - 1]
         colmax = max(int(np.abs(col).max()), 1)
         for _ in range(a):
             bound *= colmax
@@ -780,10 +756,8 @@ def trace_product_total(s, mspec, weight=None):
         if not safe:
             break
     if safe:
-        if w is not None:
-            prod *= w
         return int(prod.sum(dtype=np.int64))
-    rows, counts = distinct_rows(s[:, [k - 1 for k, _ in mspec.terms]], w)
+    rows, counts = distinct_rows(rows[:, [k - 1 for k, _ in mspec.terms]], counts)
     total = 0
     for row, count in zip(rows.tolist(), counts.tolist()):
         term = count
@@ -846,8 +820,8 @@ def trace_product_moment(data, mspec):
     squares prediction and the matrix-integral asymptote attached."""
     if mspec.max_k > data.N:
         raise ValueError(f"traces available through N={data.N}, need k={mspec.max_k}")
-    weighted = data.weighted_rows()
-    total = trace_product_total(weighted.rows, mspec, (weighted.even, weighted.odd))
+    rows, counts = data.trace_histogram()
+    total = trace_product_total(rows, mspec, counts)
     empirical = HalfPowerRational.from_scaled_integer(
         data.q, total, data.count, mspec.total)
     squares = squares_prediction(data.q, mspec)

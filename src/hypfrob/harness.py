@@ -126,8 +126,9 @@ def load_config_file(path):
 def load_or_compute_data(q, g, N, cache_dir=None, budget=ens.DEFAULT_BUDGET):
     """Trace data from a warm cache when possible, else computed and cached.
 
-    Returns (EnsembleData, from_cache).  Cached files holding deeper traces
-    are sliced down; mismatched versions are rebuilt with a fresh write.
+    Returns (EnsembleData, from_cache).  Of a cached file holding deeper
+    traces only s_1..s_N are kept; mismatched versions are rebuilt with a
+    fresh write.
     """
     path = cachemod.find_trace_cache(cache_dir, q, g, N)
     if path:
@@ -136,8 +137,7 @@ def load_or_compute_data(q, g, N, cache_dir=None, budget=ens.DEFAULT_BUDGET):
             if (cq, cg) == (q, g) and cN >= N:
                 spec = ens.EnsembleSpec(q, g)
                 if len(coeffs) == spec.count:
-                    data = ens.EnsembleData(q=q, g=g, N=cN, coeffs=coeffs, s=s)
-                    return data.sliced(N), True
+                    return ens.EnsembleData(q=q, g=g, N=N, coeffs=coeffs, s=s[:, :N]), True
         except cachemod.CacheFormatError:
             pass  # stale or foreign file: rebuild below
     data = ens.compute_ensemble_data(q, g, N, budget=budget)
@@ -537,13 +537,13 @@ def _cmd_lfun(config):
         data, _ = load_or_compute_data(config.q, g, max(N, g), cache_dir=config.cache_dir,
                                        budget=config.budget)
         A = ens.coefficients_from_traces(data.s, config.q, g)
-        data = data.sliced(N)
+        s = data.s[:, :N]
         rows = []
         for i in range(data.count):
             row = {"q": config.q, "g": g}
             row.update({f"c{j}": int(v) for j, v in enumerate(data.coeffs[i])})
             row.update({f"Astar{j}": int(v) for j, v in enumerate(A[i])})
-            row.update({f"s{n}": int(v) for n, v in enumerate(data.s[i], start=1)})
+            row.update({f"s{n}": int(v) for n, v in enumerate(s[i], start=1)})
             rows.append(row)
         path = _out_path(config, f"lfun_q{config.q}_g{g}")
         write_report(path, rows, config.fmt)

@@ -355,12 +355,11 @@ def z_moments(data, tf, m):
     ks = active_modes(tf, N)
     if ks and data.N < ks[-1]:
         raise ValueError(f"need traces through k={ks[-1]}, have N={data.N}")
-    # the active modes are 1..ks[-1]: the weighted rows regrouped on those
+    # the active modes are 1..ks[-1]: the trace histogram regrouped on those
     # columns, with a and b per row in int64 while every partial sum stays
     # below INT64_SAFE, else in Python ints (the weights grow like q^(N/2))
-    weighted = data.weighted_rows()
-    rows, weights = distinct_rows(weighted.rows[:, :len(ks)],
-                                  np.column_stack((weighted.even, weighted.odd)))
+    rows, counts = data.trace_histogram()
+    rows, counts = distinct_rows(rows[:, :len(ks)], counts)
     bound = abs(w.base) + sum(abs(wt) * int(np.abs(rows[:, k - 1]).max(initial=1))
                               for k, wt in w.even_terms + w.odd_terms)
     if bound < INT64_SAFE:
@@ -372,7 +371,7 @@ def z_moments(data, tf, m):
         parts = zip(a.tolist(), b.tolist())
     else:
         parts = map(w.parts, rows.tolist())
-    sums = _qsqrt_power_sums(parts, weights.tolist(), q, m)
+    sums = _qsqrt_power_sums(parts, counts.tolist(), q, m)
     scale = w.scale
     raw = []
     for j in range(1, m + 1):
@@ -404,15 +403,14 @@ def _qsqrt_int_pow(x, e):
     return out
 
 
-def _qsqrt_power_sums(parts, weights, q, m):
-    """sums[j] = (sum even a', sum odd b') over rows (a, b) with weights
-    (even, odd), where (a + b sqrt q)^j = a' + b' sqrt q, in exact integer
-    arithmetic.  The twist negates b and so b', and keeps a'."""
+def _qsqrt_power_sums(parts, counts, q, m):
+    """sums[j] = (sum of count * a', sum of count * b') over rows (a, b),
+    where (a + b sqrt q)^j = a' + b' sqrt q, in exact integer arithmetic."""
     sums = {j: [0, 0] for j in range(1, m + 1)}
-    for (a, b), (even, odd) in zip(parts, weights):
+    for (a, b), count in zip(parts, counts):
         pa, pb = 1, 0
         for j in range(1, m + 1):
             pa, pb = pa * a + q * pb * b, pa * b + pb * a
-            sums[j][0] += even * pa
-            sums[j][1] += odd * pb
+            sums[j][0] += count * pa
+            sums[j][1] += count * pb
     return {j: (u, v) for j, (u, v) in sums.items()}

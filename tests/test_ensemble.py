@@ -290,6 +290,8 @@ ORBIT_POINTS = [(3, 2), (3, 3), (5, 1), (5, 3), (7, 2), (11, 2), (13, 2),
 # orbit counts pinned where the route test runs and the oracle does not,
 # and at (5, 3)
 PINNED_ORBIT_COUNTS = {(11, 2): 1345, (13, 2): 2211, (5, 3): 3146}
+# distinct rows of s_1..s_(2g+2), fewer than the orbits
+PINNED_HISTOGRAM_ROWS = {(11, 2): 282, (13, 2): 364}
 # where the oracle makes every image of every curve in well under a second
 ORACLE_POINTS = [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2),
                  (11, 1), (13, 1)]
@@ -336,52 +338,31 @@ class TestTranslationOrbits:
         assert (orbits.sign[rows_of_reps] == 1).all()
 
     @pytest.mark.parametrize("q,g", ORBIT_POINTS)
-    def test_weighted_rows_rebuild_the_per_curve_histogram(self, q, g):
-        # the orbit rows regrouped by value: a row with weights (even, odd)
-        # stands for (even + odd) / 2 curves with its traces and
-        # (even - odd) / 2 with their twist, odd columns negated; together
-        # they are the histogram of the per-curve traces, which
+    def test_orbit_histogram_is_the_per_curve_histogram(self, q, g):
+        # each orbit split into its curves of sign 1 and -1, against the
+        # histogram of the scattered traces, which
         # `test_orbit_route_equals_a_full_engine_pass` checks against a full
         # engine pass
         data = ens.compute_ensemble_data(q, g, 2 * g + 2)
-        weighted = data.weighted_rows()
-        assert weighted.rows.dtype == weighted.even.dtype == weighted.odd.dtype == np.int64
-        rows, sums = ens.distinct_rows(weighted.rows,
-                                       np.column_stack((weighted.even, weighted.odd)))
-        even, odd = sums.T
-        assert even.sum() == data.count and ((even + odd) % 2 == 0).all()
-        twisted = rows.copy()
-        twisted[:, ::2] *= -1
-        expanded, counts = ens.distinct_rows(np.concatenate((rows, twisted)),
-                                             np.concatenate(((even + odd) // 2,
-                                                             (even - odd) // 2)))
+        rows, counts = data.trace_histogram()
         histogram, curves = ens.distinct_rows(data.s)
-        assert np.array_equal(expanded[counts != 0], histogram)
-        assert np.array_equal(counts[counts != 0], curves)
-        # the odd weights are the per-curve signs summed over each value
-        orbits = ens.agl_orbits(q, g, ens.squarefree_codes(q, g), data.coeffs)
-        unit = np.ones(data.count, np.int64)
-        per_curve = ens.distinct_rows(weighted.rows[orbits.orbit],
-                                      np.column_stack((unit, orbits.sign)))
-        assert np.array_equal(per_curve[0], rows)
-        assert np.array_equal(per_curve[1], sums)
+        assert rows.dtype == counts.dtype == np.int64
+        assert np.array_equal(rows, histogram)
+        assert np.array_equal(counts, curves)
+        assert len(rows) == PINNED_HISTOGRAM_ROWS.get((q, g), len(rows))
 
-    def test_sliced_data_carries_its_weighted_rows(self, data_g2):
-        fresh = data_g2.sliced(3)
-        assert np.array_equal(fresh.weighted_rows().rows, data_g2.weighted_rows().rows[:, :3])
-        assert fresh.weighted_rows().even is data_g2.weighted_rows().even
-        # rows not built yet are built by the sliced data, over its own columns
-        read_back = ens.EnsembleData(3, 2, data_g2.N, data_g2.coeffs, data_g2.s).sliced(3)
+    def test_read_back_data_builds_its_histogram_once(self, data_g2):
+        read_back = ens.EnsembleData(3, 2, 3, data_g2.coeffs, data_g2.s[:, :3])
         rows, counts = ens.distinct_rows(data_g2.s[:, :3])
-        weighted = read_back.weighted_rows()
-        assert np.array_equal(weighted.rows, rows)
-        assert np.array_equal(weighted.even, counts) and np.array_equal(weighted.odd, counts)
-        assert read_back.weighted_rows() is weighted  # built once
+        histogram = read_back.trace_histogram()
+        assert np.array_equal(histogram[0], rows) and np.array_equal(histogram[1], counts)
+        assert read_back.trace_histogram() is histogram
 
     @pytest.mark.parametrize("q,g", [(3, 2), (5, 2)])
     def test_weights_that_miscount_the_curves_are_refused(self, q, g, monkeypatch):
         # sizes and signed counts past `check_orbit_sizes`: one curve short,
-        # and the same total with a signed count above its orbit's size
+        # and the same total with a signed count above its orbit's size, so
+        # a negative count of one sign
         real = ens.agl_orbits
         orbits = real(q, g, ens.squarefree_codes(q, g),
                       pf.monic_rows(ens.squarefree_codes(q, g), 2 * g + 1, q))
@@ -398,7 +379,7 @@ class TestTranslationOrbits:
         for sizes in (short, over):
             monkeypatch.setattr(ens, "agl_orbits", lambda *args, sizes=sizes: dataclasses.replace(
                 real(*args), sizes=sizes))
-            with pytest.raises(ArithmeticError, match="weighted trace rows"):
+            with pytest.raises(ArithmeticError, match="do not split into the"):
                 ens.compute_ensemble_data(q, g, 4)
 
     @pytest.mark.parametrize("q,g", ORACLE_POINTS)
@@ -693,7 +674,7 @@ class TestTraceProductMoment:
             coeffs=np.zeros((4, 4), np.uint8),
             s=np.array([[2 ** 31, 5], [-2 ** 31, 7], [2 ** 31 - 9, -3], [17, 2]], np.int64))
         spec = ens.MomentSpec(((1, 2),))
-        total = ens.trace_product_total(fake.s, spec)
+        total = ens.trace_product_total(fake.s, spec, np.ones(4, np.int64))
         assert total == sum(int(v) ** 2 for v in fake.s[:, 0])
 
     @pytest.mark.parametrize("q", [11, 13])
@@ -705,19 +686,20 @@ class TestTraceProductMoment:
         bound = s.shape[0]
         for k, a in spec.terms:
             bound *= int(np.abs(s[:, k - 1]).max()) ** a
+        unit = np.ones(len(s), np.int64)
         grouped, real = [], ens.distinct_rows
         monkeypatch.setattr(ens, "distinct_rows", lambda cols, weights=None: grouped.append(
-            (cols.shape, weights)) or real(cols, weights))
+            (cols.shape, weights is unit)) or real(cols, weights))
         expected = 0
         for row in s.tolist():
             term = 1
             for k, a in spec.terms:
                 term *= row[k - 1] ** a
             expected += term
-        assert ens.trace_product_total(s, spec) == expected
-        # past the guard the spec's own columns are grouped, unweighted as
-        # each row is one curve, else int64 sums
-        assert grouped == ([((s.shape[0], len(spec.terms)), None)]
+        assert ens.trace_product_total(s, spec, unit) == expected
+        # past the guard the spec's own columns are grouped with the unit
+        # counts, as each row is one curve, else int64 sums
+        assert grouped == ([((s.shape[0], len(spec.terms)), True)]
                            if bound >= ens.INT64_SAFE else [])
         if text in ("(5,5)", "(1,1);(6,4)"):
             assert grouped  # these two cross the guard at both q
@@ -725,11 +707,10 @@ class TestTraceProductMoment:
     @pytest.mark.parametrize("q", [11, 13])
     @pytest.mark.parametrize("text", ["(6,5)", "(5,4)", "(1,1);(6,3)", "(5,5)", "(1,1);(6,4)",
                                       "(1,1);(2,1)"])
-    def test_weighted_rows_match_per_curve_products(self, genus2_large_q, monkeypatch,
-                                                    q, text):
-        # the orbit rows of a fresh ensemble, and the distinct rows of its
-        # traces read back as a cache would give them, against the Python-int
-        # sum over curves; the guard is decided on the curve count, as above
+    def test_histogram_totals_match_per_curve_products(self, genus2_large_q, monkeypatch,
+                                                       q, text):
+        # the trace histogram against the Python-int sum over curves; the
+        # guard is decided on the curve count, as above
         data = genus2_large_q[q]
         spec = ens.MomentSpec.parse(text)
         expected = 0
@@ -738,24 +719,23 @@ class TestTraceProductMoment:
             for k, a in spec.terms:
                 term *= row[k - 1] ** a
             expected += term
-        orbit_rows = data.weighted_rows()
-        assert len(orbit_rows.rows) == PINNED_ORBIT_COUNTS[(q, 2)]
-        read_back = ens.EnsembleData(q, 2, data.N, data.coeffs, data.s).weighted_rows()
-        assert np.array_equal(read_back.even, read_back.odd)
+        rows, counts = data.trace_histogram()
+        assert len(rows) == PINNED_HISTOGRAM_ROWS[(q, 2)]
         grouped, real = [], ens.distinct_rows
         monkeypatch.setattr(ens, "distinct_rows", lambda cols, weights=None: grouped.append(
             cols.shape[0]) or real(cols, weights))
-        for weighted in (orbit_rows, read_back):
-            total = ens.trace_product_total(weighted.rows, spec,
-                                            (weighted.even, weighted.odd))
-            assert total == expected
+        assert ens.trace_product_total(rows, spec, counts) == expected
         bound = data.count
         for k, a in spec.terms:
             bound *= int(np.abs(data.s[:, k - 1]).max()) ** a
-        assert grouped == ([len(orbit_rows.rows), len(read_back.rows)]
-                           if bound >= ens.INT64_SAFE else [])
-        if spec.twist_odd:
+        assert grouped == ([len(rows)] if bound >= ens.INT64_SAFE else [])
+        if spec.total % 2:
             assert expected == 0
+        # fresh data reads its histogram only, and reports as a read-back copy
+        monkeypatch.undo()
+        blind = dataclasses.replace(data, s=None)
+        read_back = ens.EnsembleData(q, 2, data.N, data.coeffs, data.s)
+        assert ens.trace_product_moment(blind, spec) == ens.trace_product_moment(read_back, spec)
 
     def test_out_of_range_flagged(self, data_g1):
         rep = ens.trace_product_moment(data_g1, ens.MomentSpec.parse("(2,2)"))
@@ -767,15 +747,16 @@ class TestZMomentRoutes:
                                     linstat.parse_test_function("0:1;1/4:2,-4;1/2")])
     def test_int64_and_python_routes_agree(self, data_g2, genus2_large_q, monkeypatch, tf):
         # the Python route is forced by a guard of 0; ZWeights.parts runs on
-        # that route only.  Orbit rows and the distinct rows of a read-back
-        # copy give the same reports on both routes
+        # that route only.  Fresh data, with its traces dropped so that only
+        # its histogram is read, and a read-back copy give the same reports
+        # on both routes
         calls, parts = [], linstat.ZWeights.parts
         monkeypatch.setattr(linstat.ZWeights, "parts",
                             lambda self, s: calls.append(1) or parts(self, s))
         for fresh in (data_g2, genus2_large_q[13]):
             read_back = ens.EnsembleData(fresh.q, fresh.g, fresh.N, fresh.coeffs, fresh.s)
             reports = []
-            for data in (fresh, read_back):
+            for data in (dataclasses.replace(fresh, s=None), read_back):
                 for guard in (ens.INT64_SAFE, 0):
                     monkeypatch.setattr(linstat, "INT64_SAFE", guard)
                     calls.clear()

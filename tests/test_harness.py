@@ -185,8 +185,8 @@ class TestExitCodes:
             assert "N must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "cache").exists()
         assert not list(tmp_path.glob("lfun*"))
-        with pytest.raises(ValueError):
-            ens.compute_ensemble_data(3, 1, 4).sliced(-1)
+        with pytest.raises(ValueError, match="N must be >= 0"):
+            ens.compute_ensemble_data(3, 1, -1)
 
     def test_newton_depth_beyond_int64_refused(self, tmp_path, capsys):
         code = run_cli(["moment", "--q", "13", "--g", "2", "--N", "31", "--spec", "(31,1)",
@@ -610,6 +610,23 @@ class TestReports:
         harness.load_or_compute_data(3, 1, 6, cache_dir=cache)
         data, from_cache = harness.load_or_compute_data(3, 1, 3, cache_dir=cache)
         assert from_cache and data.N == 3 and data.s.shape[1] == 3
+
+    def test_deeper_cache_keeps_the_reports(self, tmp_path):
+        deep = str(tmp_path / "deep")
+        assert run_cli(["moment", "--q", "3", "--g", "2", "--N", "8",
+                        "--cache-dir", deep, "--out", str(tmp_path / "fill")]) == 0
+        for command in (["moment", "--N", "4", "--spec", "(1,2)", "--spec", "(4,2)",
+                         "--spec", "(1,1);(2,1)"],
+                        ["linstat", "--tf", "triangular:1"],
+                        ["decompose"]):
+            reports = []
+            for cache in (deep, str(tmp_path / f"empty-{command[0]}")):
+                out = tmp_path / f"{command[0]}-{len(reports)}"
+                assert run_cli(command + ["--q", "3", "--g", "2", "--format", "json",
+                                          "--cache-dir", cache, "--out", str(out)]) == 0
+                reports.append({p.name: p.read_bytes() for p in out.iterdir()})
+            assert len(reports[0]) == 1 and reports[0] == reports[1]
+        assert os.listdir(deep) == ["traces_q3_g2_N8.bin"]  # every read came from it
 
     def test_lfun_rows(self, tmp_path, capsys):
         out = str(tmp_path / "reports")

@@ -20,13 +20,11 @@ from .ensemble import (
 from .charsym import chi, jacobi_symbol, legendre, residue_symbol_def
 from .lfunction import (
     Curve,
-    LData,
     complete_l,
     dirichlet_coefficients,
     eigenphases,
     point_count_direct,
     traces_explicit,
-    traces_from_lpoly,
 )
 from .linstat import TestFunction, mock_gaussian_reference, triangular, z_moments, z_statistic
 from .polyfield import Factorization, PrimeTable, factorize, get_prime_table

@@ -2,15 +2,17 @@
 
 The format carries a magic tag and version; a mismatch triggers a rebuild
 rather than an error.  Writes go through a temp file and an atomic rename
-so concurrent readers never observe partial records.  Prime tables are not
-kept on disk: `polyfield.PrimeTable.build` sieves them in well under a
-second at the depths the commands use.
+so concurrent readers never observe partial records; the records go out
+in fixed blocks of rows, so no record array of the whole file is ever
+held.  Prime tables are not kept on disk: `polyfield.PrimeTable.build`
+sieves them in well under a second at the depths the commands use.
 
 Trace record layout (little endian, fixed width):
     magic 'HFTR' | u32 version | u32 q | u32 g | u32 N | u64 count
     then count records of (2g+2) u8 curve coefficients + N i64 traces.
 """
 
+import itertools
 import os
 import struct
 import tempfile
@@ -20,15 +22,17 @@ import numpy as np
 TR_MAGIC = b"HFTR"
 VERSION = 1
 HEADER = struct.Struct("<4sIIIIQ")  # 28 bytes: magic, version, q, g, N, count
+WRITE_BLOCK_ROWS = 2 ** 16  # records per block of a write: 7.7 MB at g = 6, N = 13
 
 
 class CacheFormatError(RuntimeError):
     pass
 
 
-def _atomic_write(path, *chunks):
-    """Writes each chunk (bytes or a C-contiguous array, through its buffer)
-    in turn to a temp file, then renames it onto `path`."""
+def _atomic_write(path, chunks):
+    """Writes each chunk of the iterable `chunks` (bytes or a C-contiguous
+    array, through its buffer) in turn to a temp file, then renames it onto
+    `path`; a generator's chunks are made one at a time."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-cache-")
     try:
@@ -52,12 +56,21 @@ def _record_dtype(g, N):
     return np.dtype([("Q", np.uint8, (2 * g + 2,)), ("s", "<i8", (N,))])
 
 
+def _record_blocks(data):
+    """The records of `data`, WRITE_BLOCK_ROWS at a time, each block one
+    record array built when the writer asks for it."""
+    dtype = _record_dtype(data.g, data.N)
+    for lo in range(0, len(data.coeffs), WRITE_BLOCK_ROWS):
+        rows = slice(lo, lo + WRITE_BLOCK_ROWS)
+        block = np.empty(len(data.coeffs[rows]), dtype)
+        block["Q"] = data.coeffs[rows]
+        block["s"] = data.s[rows]
+        yield block
+
+
 def write_trace_cache(path, data):
-    n = len(data.coeffs)
-    records = np.empty(n, _record_dtype(data.g, data.N))
-    records["Q"] = data.coeffs
-    records["s"] = data.s
-    _atomic_write(path, HEADER.pack(TR_MAGIC, VERSION, data.q, data.g, data.N, n), records)
+    header = HEADER.pack(TR_MAGIC, VERSION, data.q, data.g, data.N, len(data.coeffs))
+    _atomic_write(path, itertools.chain([header], _record_blocks(data)))
 
 
 def read_trace_cache(path):

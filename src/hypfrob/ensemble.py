@@ -43,13 +43,13 @@ non-square l, and on each orbit the odd s_n summing to 0 over its curves.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import rmt
-from .charsym import jacobi_symbol, legendre_table
+from .charsym import jacobi_symbols, legendre_table
 from .exact import HalfPowerRational
 from .lfunction import Curve, prime_symbols, symbol_power_sum
 from .polyfield import (
@@ -63,7 +63,6 @@ from .polyfield import (
     mod,
     monic_from_code,
     monic_multiple_codes,
-    monic_polys,
     monic_rows,
     poly_mul,
     prime_residues,
@@ -617,32 +616,38 @@ def multi_char_sum(q, beta, degrees, method="direct", table=None, budget=DEFAULT
     """S(beta; k_1..k_n): sum over ordered tuples of pairwise distinct primes
     of the given degrees and monic B of degree beta of (B / p_1...p_n).
 
-    method 'reciprocity' evaluates the coefficient-side sum with the
-    reciprocity sign (-1)^(((q-1)/2) * beta * sum k_i) instead; the two
+    The products p_1...p_n are built as one stack of rows, and the symbols
+    are one `jacobi_symbols` grid over them and the monic B.  method
+    'reciprocity' evaluates the coefficient-side grid (p_1...p_n / B) with
+    the reciprocity sign (-1)^(((q-1)/2) * beta * sum k_i) instead; the two
     must agree exactly.
     """
     degrees = tuple(degrees)
     if table is None:
         table = get_prime_table(q, max(degrees))
-    lists = [table.irreducibles(k) for k in degrees]
-    n_tuples = 1
-    for lst in lists:
-        n_tuples *= len(lst)
-    if n_tuples * q ** beta > budget:
+    lists = [np.array(table.irreducibles(k), np.int64) for k in degrees]
+    if math.prod(len(primes) for primes in lists) * q ** beta > budget:
         raise BudgetError("multiple character sum grid exceeds budget")
-    total = 0
-    for combo in itertools.product(*lists):
-        if len(set(combo)) != len(combo):
-            continue
-        modulus = (1,)
-        for prime in combo:
-            modulus = poly_mul(modulus, prime, q)
-        if method == "direct":
-            total += sum(jacobi_symbol(B, modulus, q) for B in monic_polys(beta, q))
-        elif method == "reciprocity":
-            total += sum(jacobi_symbol(modulus, B, q) for B in monic_polys(beta, q))
-        else:
-            raise ValueError(f"unknown method {method!r}")
+    if method not in ("direct", "reciprocity"):
+        raise ValueError(f"unknown method {method!r}")
+    # prime indices of each tuple down axis 1; equal primes need equal degrees
+    tuples = np.indices([len(primes) for primes in lists]).reshape(len(lists), -1)
+    for a, b in itertools.combinations(range(len(degrees)), 2):
+        if degrees[a] == degrees[b]:
+            tuples = tuples[:, tuples[a] != tuples[b]]
+    moduli = np.ones((tuples.shape[1], 1), np.int64)
+    for primes, index in zip(lists, tuples):
+        factor = primes[index]
+        product = np.zeros((len(moduli), moduli.shape[1] + factor.shape[1] - 1), np.int64)
+        for j in range(factor.shape[1]):
+            product[:, j:j + moduli.shape[1]] += moduli * factor[:, j:j + 1]
+        moduli = product % q
+    monics = monic_rows(np.arange(q ** beta), beta, q)
+    if method == "direct":
+        grid = jacobi_symbols(monics[None], moduli[:, None], q)
+    else:
+        grid = jacobi_symbols(moduli[:, None], monics[None], q)
+    total = int(grid.sum(dtype=np.int64))
     if method == "reciprocity":
         if ((q - 1) // 2) % 2 and (beta % 2) and (sum(degrees) % 2):
             total = -total
@@ -851,8 +856,8 @@ class TermDecomposition:
 
     @classmethod
     def from_symbols(cls, symbols, k):
-        """The split from a `prime_symbols` pass through degree >= k: ints
-        for one modulus, int64 arrays over the moduli for a stacked pass."""
+        """The split from a `prime_symbols` pass through degree >= k, each
+        part an int64 array over the moduli (0 for a part with no terms)."""
         prime_sum = symbol_power_sum(symbols, k, 1)
         return cls(
             prime_symbol_sum=prime_sum,
@@ -862,15 +867,11 @@ class TermDecomposition:
                             for e in range(3, k + 1) if k % e == 0))
 
 
-def term_decomposition(curve, k, table=None, symbols=None):
+def term_decomposition(curve, k, table=None):
     """Per-curve prime / prime-square / higher-power split of -tr Theta^k,
-    by direct character sums (definitional path).
-
-    `symbols`, a `prime_symbols` pass of curve.Q through degree >= k,
-    replaces the pass made here."""
-    if symbols is None:
-        symbols = prime_symbols(curve.Q, curve.q, k, table)
-    return TermDecomposition.from_symbols(symbols, k)
+    by direct character sums (definitional path), in ints."""
+    split = TermDecomposition.from_symbols(prime_symbols(curve.row, curve.q, k, table), k)
+    return TermDecomposition(*(int(np.asarray(part).item()) for part in astuple(split)))
 
 
 @dataclass

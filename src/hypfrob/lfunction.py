@@ -2,12 +2,14 @@
 polynomial, Frobenius traces by two independent routes, eigenphases, point
 counts.
 
-The character sums, the point counts and the eigenphases take one
-modulus or L-polynomial, or a stack of them: the sums run on the batched
-Jacobi kernel of `charsym`, the counts on one Horner pass over a
-`polyfield.ResidueField`, the phases on one batched eigenvalue call over
-companion matrices.  The Dirichlet completion, Newton's identities and
-the explicit traces of one curve work on that curve's row.
+One calling convention: every L-data route takes a stack of rows, a 2-D
+array with one modulus or L-polynomial per row (low degree first), and
+returns arrays over the rows, whatever their number; a 1-D argument is
+refused.  The character sums run on the batched Jacobi kernel of
+`charsym`, the counts on one Horner pass over a `polyfield.ResidueField`,
+the phases on one batched eigenvalue call over companion matrices.  The
+per-curve oracles `complete_l` and `traces_explicit` run these routes on
+the one-row stack `Curve.row` and return Python ints.
 
 All character sums and coefficients are exact integers; floating point
 enters only in eigenphase extraction.  The scaled trace s_n equals the
@@ -64,32 +66,29 @@ class Curve:
             raise ValueError("curve polynomial must have odd degree >= 3")
         return cls(q=q, g=(d - 1) // 2, Q=Q)
 
-
-@dataclass(frozen=True)
-class LData:
-    """Dirichlet coefficients A(beta) and the completed coefficients Astar.
-
-    The moduli are of odd degree 2g+1, so there is no trivial zero and the
-    completed polynomial is A itself, of degree 2g.
-    """
-    A: tuple          # beta = 0 .. 2g
-    Astar: tuple      # beta = 0 .. 2g
+    @property
+    def row(self):
+        """Q as a one-row stack, the argument of the stacked routes."""
+        return np.array([self.Q], np.int64)
 
 
-def _as_stack(D):
-    """Moduli as a 2-D array of coefficient rows, and whether D was one modulus."""
-    single = np.ndim(D) == 1
-    return (np.array(D, np.int64, ndmin=2) if single else np.asarray(D)), single
+def _stack(rows):
+    """A stacked route's argument as an array, refused unless it is 2-D:
+    one modulus or polynomial per row."""
+    rows = np.asarray(rows)
+    if rows.ndim != 2:
+        raise ValueError(f"expected an (m, k) stack of rows, got shape {rows.shape}")
+    return rows
 
 
 def dirichlet_coefficients(Q, q, strategy="funceq"):
     """A(beta) = sum of chi_Q over monic B of degree beta, beta = 0..2g, for
     Q monic of degree 2g+1; exact integers (they vanish beyond 2g).
 
-    `Q` is one modulus, a coefficient tuple, giving a list of ints, or a
-    stack of moduli of one degree, a 2-D array of coefficient rows (low
-    degree first), giving an (m, 2g+1) int64 array.  Each degree beta is
-    one `jacobi_symbols` pass over the moduli and the monic B.
+    `Q` is a stack of moduli of one degree, an (m, 2g+2) array of
+    coefficient rows (low degree first); the result is an (m, 2g+1) int64
+    array.  Each degree beta is one `jacobi_symbols` pass over the moduli
+    and the monic B.
 
     strategy 'funceq' enumerates beta <= g and completes the upper half by
     the coefficient symmetry; 'enumerate' sums every degree directly (test
@@ -97,7 +96,7 @@ def dirichlet_coefficients(Q, q, strategy="funceq"):
     """
     if strategy not in ("funceq", "enumerate"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    stack, single = _as_stack(Q)
+    stack = _stack(Q)
     if stack.shape[1] % 2 or stack.shape[1] < 4:
         raise ValueError("moduli must have odd degree 2g+1 >= 3")
     g = (stack.shape[1] - 2) // 2
@@ -109,7 +108,7 @@ def dirichlet_coefficients(Q, q, strategy="funceq"):
         coeffs[:, beta] = jacobi_symbols(stack[:, None], monics[None], q).sum(axis=1)
     for beta in range(cut + 1, 2 * g + 1):
         coeffs[:, beta] = q ** (beta - g) * coeffs[:, 2 * g - beta]
-    return coeffs[0].tolist() if single else coeffs
+    return coeffs
 
 
 def symmetry_failure(A, q, g):
@@ -125,17 +124,21 @@ def symmetry_failure(A, q, g):
 
 
 def complete_l(curve, A=None):
-    """Complete the L-polynomial; the symmetry residual must vanish exactly."""
+    """The completed L-polynomial of one curve, as a tuple of ints: its
+    Dirichlet coefficients A(0..2g), checked against the functional
+    equation, whose residual must vanish exactly.  The moduli have odd
+    degree 2g+1, so there is no trivial zero to remove.
+    """
     q, g = curve.q, curve.g
     if A is None:
-        A = dirichlet_coefficients(curve.Q, q)
-    A = tuple(A)
+        A = dirichlet_coefficients(curve.row, q)[0]
+    A = tuple(int(a) for a in A)
     if len(A) != 2 * g + 1:
         raise ValueError("need coefficients for beta = 0 .. 2g")
     failure = symmetry_failure(A, q, g)
     if failure:
         raise FunctionalEquationError(failure)
-    return LData(A=A, Astar=A)
+    return A
 
 
 def newton_power_sums(coeffs, N):
@@ -156,63 +159,43 @@ def newton_power_sums(coeffs, N):
     return p[1:]
 
 
-def traces_from_lpoly(ldata, N):
-    """s_n from the completed polynomial via Newton's identities."""
-    return newton_power_sums(ldata.Astar, N)
-
-
 def prime_symbols(D, q, n, table=None):
     """(D/P) for every prime P of degree <= n: entry d holds the degree-d
     primes' symbols in table order, entry 0 is empty.  The character sums
     over prime powers below reduce this pass.
 
-    `D` is one modulus, a coefficient tuple, whose entries are tuples of
-    ints, or a stack of moduli, a 2-D array of coefficient rows (low degree
-    first), whose entries are (m, pi_d) int8 arrays.  Each degree is one
+    `D` is a stack of monic moduli, a 2-D array of coefficient rows (low
+    degree first); entry d is an (m, pi_d) int8 array.  Each degree is one
     `jacobi_symbols` pass over the moduli and the primes.
     """
     if table is None:
         table = get_prime_table(q, n)
-    stack, single = _as_stack(D)
-    symbols = [np.zeros((len(stack), 0), np.int8)] + [
+    stack = _stack(D)
+    return [np.zeros((len(stack), 0), np.int8)] + [
         jacobi_symbols(stack[:, None], np.array(table.irreducibles(d))[None], q)
         for d in range(1, n + 1)]
-    return symbol_row(symbols, 0) if single else symbols
-
-
-def symbol_row(symbols, i):
-    """Modulus i's entries of a stacked `prime_symbols` pass, as tuples of ints."""
-    return [tuple(entry[i].tolist()) for entry in symbols]
 
 
 def symbol_power_sum(symbols, d, e):
-    """Sum of (D/P)^e over the degree-d primes: the symbol sum for odd e,
-    the count of primes not dividing D for even e.  For a stacked pass it
-    is an int64 array over the moduli."""
+    """Sum of (D/P)^e over the degree-d primes of a `prime_symbols` pass,
+    an int64 array over the moduli: the symbol sum for odd e, the count of
+    primes not dividing D for even e."""
     s = symbols[d]
-    if isinstance(s, np.ndarray):
-        return (s if e % 2 else s * s).sum(axis=-1, dtype=np.int64)
-    return sum(s) if e % 2 else sum(x * x for x in s)
+    return (s if e % 2 else s * s).sum(axis=-1, dtype=np.int64)
 
 
 def explicit_sum(symbols, n):
-    """Sum over prime powers P^e of degree n of (deg P) (D/P)^e."""
+    """Sum over prime powers P^e of degree n of (deg P) (D/P)^e, an int64
+    array over the moduli of a `prime_symbols` pass through degree >= n."""
     return sum(d * symbol_power_sum(symbols, d, n // d)
                for d in range(1, n + 1) if n % d == 0)
 
 
-def explicit_trace_sum(D, q, n, table=None):
-    """-s_n-style character sum for an arbitrary monic modulus D:
-    sum over prime powers P^e of degree n of (deg P) * (D/P)^e."""
-    return explicit_sum(prime_symbols(D, q, n, table), n)
-
-
-def traces_explicit(curve, N, table=None, symbols=None):
-    """s_n = -(von Mangoldt weighted character sum of degree n), exact;
-    `symbols`, a `prime_symbols` pass of curve.Q through degree >= N, is reused."""
-    if symbols is None:
-        symbols = prime_symbols(curve.Q, curve.q, N, table)
-    return [-explicit_sum(symbols, n) for n in range(1, N + 1)]
+def traces_explicit(curve, N, table=None):
+    """s_n = -(von Mangoldt weighted character sum of degree n), n = 1..N,
+    exact, as a list of ints."""
+    symbols = prime_symbols(curve.row, curve.q, N, table)
+    return [-int(explicit_sum(symbols, n)[0]) for n in range(1, N + 1)]
 
 
 def _qpoly_normalize(f):
@@ -310,11 +293,10 @@ def eigenphases(L, q):
     """Angles theta_j in (-pi, pi], sorted, with completed-polynomial roots
     q^(-1/2) e^(-i theta_j).
 
-    `L` is one L-polynomial, an `LData` or its completed coefficients,
-    giving a tuple of floats and raising RootMagnitudeError for a root off
-    the critical circle; or a stack of completed rows of one degree 2g, an
-    (m, 2g+1) array, giving an (m, 2g) float array and a dict mapping each
-    row with such a root to its error (that row's phases are NaN).
+    `L` is a stack of completed rows of one degree 2g, an (m, 2g+1)
+    array.  The result is an (m, 2g) float array and a dict mapping each
+    row with a root off the critical circle to its RootMagnitudeError
+    (that row's phases are NaN).
 
     Each distinct row is solved once.  A row is squarefree over Q when it
     keeps its degree and is squarefree mod SQUAREFREE_TEST_PRIME, which
@@ -325,10 +307,7 @@ def eigenphases(L, q):
     must sit on the critical circle within ROOT_MAGNITUDE_TOL; violations
     are reported rather than clamped.
     """
-    if isinstance(L, LData):
-        L = L.Astar
-    stack, single = _as_stack(L)
-    rows, inverse = np.unique(stack, axis=0, return_inverse=True)
+    rows, inverse = np.unique(_stack(L), axis=0, return_inverse=True)
     d = rows.shape[1] - 1
     simple = np.array([_squarefree_mod(row, SQUAREFREE_TEST_PRIME) for row in rows.tolist()], bool)
     roots = np.empty((len(rows), d), complex)
@@ -352,40 +331,28 @@ def eigenphases(L, q):
     theta[theta <= -math.pi] += 2 * math.pi  # a root on the negative real axis: pi, not -pi
     theta[list(errors)] = np.nan
     theta = np.sort(theta, axis=1)
-    if single:
-        if errors:
-            raise errors[0]
-        return tuple(theta[0].tolist())
     inverse = inverse.reshape(-1)
     return theta[inverse], {j: errors[i] for j, i in enumerate(inverse.tolist()) if i in errors}
 
 
 def traces_from_eigenphases(theta, q, N):
     """Float reconstruction q^(n/2) sum_j e^(i n theta_j), n = 1..N; conjugate
-    pairing makes the result real.  `theta` is one phase tuple, giving a
-    list, or an (m, 2g) stack of phase rows, giving an (m, N) array."""
-    theta = np.asarray(theta, float)
+    pairing makes the result real.  `theta` is an (m, 2g) stack of phase
+    rows; the result is an (m, N) array."""
+    theta = _stack(theta).astype(float)
     n = np.arange(1, N + 1)
-    out = q ** (n / 2) * np.exp(1j * n[:, None] * theta[..., None, :]).sum(axis=-1).real
-    return out.tolist() if theta.ndim == 1 else out
+    return q ** (n / 2) * np.exp(1j * n[:, None] * theta[:, None, :]).sum(axis=-1).real
 
 
 def point_count_direct(Q, q, n):
     """Points of y^2 = Q(x) over F_{q^n}: one at infinity plus 1 + chi(Q(x))
     for each x, with F_{q^n} the `ResidueField` of the first degree-n prime.
 
-    `Q` is one polynomial, a coefficient tuple, giving an int, or a stack of
-    polynomials of one degree, a 2-D array of coefficient rows (low degree
-    first), giving an int64 array.  One Horner pass evaluates every row at
-    every element, and the field's character table is read at the values.
+    `Q` is a stack of polynomials of one degree, a 2-D array of
+    coefficient rows (low degree first); the result is an int64 array over
+    the rows.  One Horner pass evaluates every row at every element, and
+    the field's character table is read at the values.
     """
-    stack, single = _as_stack(Q)
     field = pf.ResidueField(get_prime_table(q, n).first_irreducible(n), q)
-    values = field.evaluate(stack, field.elements())
-    counts = 1 + field.size + field.chars[field.codes(values)].sum(axis=1, dtype=np.int64)
-    return int(counts[0]) if single else counts
-
-
-def point_count_from_traces(curve, s, n):
-    """N_n = q^n + 1 - s_n from the trace power sums."""
-    return curve.q ** n + 1 - s[n - 1]
+    values = field.evaluate(_stack(Q), field.elements())
+    return 1 + field.size + field.chars[field.codes(values)].sum(axis=1, dtype=np.int64)

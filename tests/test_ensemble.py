@@ -60,18 +60,16 @@ class TestEngine:
             N = data.N
             for i in range(data.count):
                 curve = data.curve(i)
-                A = lf.dirichlet_coefficients(curve.Q, curve.q, strategy="enumerate")
-                ld = lf.complete_l(curve, A)
-                assert list(data.s[i]) == lf.traces_from_lpoly(ld, N)
+                A = lf.dirichlet_coefficients(curve.row, curve.q, strategy="enumerate")[0]
+                assert list(data.s[i]) == lf.newton_power_sums(lf.complete_l(curve, A), N)
 
     @pytest.mark.parametrize("q,g,N,stride", [(11, 1, 4, 1), (13, 1, 4, 1), (7, 2, 6, 293)])
     def test_matches_enumeration_route_beyond_small_q(self, q, g, N, stride):
         data = ens.compute_ensemble_data(q, g, N)
         for i in range(0, data.count, stride):
             curve = data.curve(i)
-            A = lf.dirichlet_coefficients(curve.Q, curve.q, strategy="enumerate")
-            ld = lf.complete_l(curve, A)
-            assert list(data.s[i]) == lf.traces_from_lpoly(ld, N)
+            A = lf.dirichlet_coefficients(curve.row, curve.q, strategy="enumerate")[0]
+            assert list(data.s[i]) == lf.newton_power_sums(lf.complete_l(curve, A), N)
 
     def test_int32_residues_where_int16_would_wrap(self, monkeypatch):
         # q = 137 is the least prime where a g = 1 residue digit can reach
@@ -96,9 +94,8 @@ class TestEngine:
         assert all(dtype.itemsize * 8 > 16 for _top, dtype in passes)
         for i, Q in enumerate(rows):
             curve = lf.Curve(q=q, g=g, Q=Q)
-            A = lf.dirichlet_coefficients(curve.Q, curve.q, strategy="enumerate")
-            ld = lf.complete_l(curve, A)
-            assert list(s[i]) == lf.traces_from_lpoly(ld, N)
+            A = lf.dirichlet_coefficients(curve.row, curve.q, strategy="enumerate")[0]
+            assert list(s[i]) == lf.newton_power_sums(lf.complete_l(curve, A), N)
 
     def test_traces_independent_of_row_splits(self, data_q5g3):
         # 62,500 rows: the splits cut inside and across the fixed chunks
@@ -169,8 +166,7 @@ class TestEngine:
         q, g, N = 13, 2, 30
         data = ens.compute_ensemble_data(q, g, N)
         for i in range(0, data.count, 1709):
-            ld = lf.complete_l(data.curve(i))
-            assert list(data.s[i]) == lf.traces_from_lpoly(ld, N)
+            assert list(data.s[i]) == lf.newton_power_sums(lf.complete_l(data.curve(i)), N)
         with pytest.raises(ValueError, match="2\\^63"):
             ens.TraceEngine(q, g, N + 1)
 
@@ -500,6 +496,13 @@ def _tabulate(func, g, q=3):
     return np.array([func(M) for M in pf.monic_polys(2 * g + 1, q)], np.int64)
 
 
+def _explicit_sums(n, g, table, q=3):
+    """The explicit character sum of degree n (-s_n for a curve) as an int64
+    table over the codes of degree 2g+1, from one stacked symbol pass."""
+    moduli = pf.monic_rows(np.arange(q ** (2 * g + 1)), 2 * g + 1, q)
+    return lf.explicit_sum(lf.prime_symbols(moduli, q, n, table), n)
+
+
 class TestAverages:
     def test_constant_functional(self, data_g1):
         spec = ens.EnsembleSpec(3, 1)
@@ -542,7 +545,7 @@ class TestAverages:
         spec = ens.EnsembleSpec(3, g)
         table = pf.get_prime_table(3, 2 * g + 1)
         for n in (1, 2):
-            values = _tabulate(lambda M: lf.explicit_trace_sum(M, 3, n, table), g)
+            values = _explicit_sums(n, g, table)
             direct = ens.ensemble_average(spec, values)
             decomposed = ens.moebius_decomposed_average(spec, values)
             assert direct == decomposed
@@ -597,7 +600,40 @@ class TestSigmaSum:
         assert ens.sigma_sum(q, degrees, alpha, representatives=reps) == expected
 
 
+def _multi_char_sum_by_scalar_symbols(q, beta, degrees, method):
+    """The scalar route to `multi_char_sum`: the Euclid `jacobi_symbol` of
+    each product of an ordered tuple of pairwise distinct primes against
+    each monic B, (B / product) for 'direct' and (product / B) with the
+    reciprocity sign for 'reciprocity'."""
+    table = pf.get_prime_table(q, max(degrees))
+    total = 0
+    for combo in itertools.product(*(table.irreducibles(k) for k in degrees)):
+        if len(set(combo)) != len(combo):
+            continue
+        modulus = (1,)
+        for prime in combo:
+            modulus = pf.poly_mul(modulus, prime, q)
+        for B in pf.monic_polys(beta, q):
+            total += (jacobi_symbol(B, modulus, q) if method == "direct"
+                      else jacobi_symbol(modulus, B, q))
+    if method == "reciprocity" and ((q - 1) // 2) % 2 and beta % 2 and sum(degrees) % 2:
+        total = -total
+    return total
+
+
 class TestMultiCharSum:
+    @pytest.mark.parametrize("method", ["direct", "reciprocity"])
+    @pytest.mark.parametrize("q,degrees", [(3, (1, 2)), (5, (1, 2)), (3, (1, 1, 2)),
+                                           (7, (2,)), (3, (3,))])
+    def test_batched_grid_matches_the_scalar_route(self, q, degrees, method):
+        for beta in range(sum(degrees) + 2):
+            assert (ens.multi_char_sum(q, beta, degrees, method=method)
+                    == _multi_char_sum_by_scalar_symbols(q, beta, degrees, method))
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            ens.multi_char_sum(3, 1, (1,), method="magic")
+
     def test_vanishing_beyond_degree_sum(self):
         for degrees in [(1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3)]:
             total = sum(degrees)
@@ -660,7 +696,7 @@ class TestTraceProductMoment:
         spec = ens.EnsembleSpec(3, 2)
         table = pf.get_prime_table(3, 2)
         decomposed = ens.moebius_decomposed_average(
-            spec, _tabulate(lambda M: -lf.explicit_trace_sum(M, 3, 2, table), 2))
+            spec, -_explicit_sums(2, 2, table))
         assert Fraction(decomposed, 3) == rep.empirical.frac
 
     def test_odd_single_traces_vanish(self, data_g2):
@@ -860,8 +896,8 @@ class TestPrimeTermMoment:
         assert pf.irreducible_count(q, 43) < 2 ** 63 <= pf.irreducible_count(q, 44)
         c, z = [], []
         for curve in curves:
-            A = lf.dirichlet_coefficients(curve.Q, q, strategy="enumerate")
-            s = lf.traces_from_lpoly(lf.complete_l(curve, A), max(ks))
+            A = lf.dirichlet_coefficients(curve.row, q, strategy="enumerate")[0]
+            s = lf.newton_power_sums(lf.complete_l(curve, A), max(ks))
             degrees = [pf.degree(P) for P, _m in pf.factorize(curve.Q, q).factors]
             zc = {k: degrees.count(k) for k in range(1, max(ks) + 1)}
             cc = {}
@@ -1022,7 +1058,11 @@ class TestCacheRoundTrip:
         assert np.array_equal(coeffs, data_g1.coeffs)
         assert np.array_equal(s, data_g1.s)
 
-    def test_written_bytes_are_header_then_records(self, tmp_path, data_g2):
+    @pytest.mark.parametrize("block_rows", [cachemod.WRITE_BLOCK_ROWS, 7])
+    def test_written_bytes_are_header_then_records(self, tmp_path, data_g2, block_rows,
+                                                   monkeypatch):
+        # 162 rows: one block, or 23 blocks of 7 and a last one of 1
+        monkeypatch.setattr(cachemod, "WRITE_BLOCK_ROWS", block_rows)
         path = tmp_path / "traces.bin"
         cachemod.write_trace_cache(str(path), data_g2)
         n, width = data_g2.coeffs.shape

@@ -140,7 +140,7 @@ class TestDualEvaluation:
         worst = 0.0
         for i in range(data_g2.count):
             curve = data_g2.curve(i)
-            theta = lf.eigenphases(lf.complete_l(curve), 3)
+            (theta,), _ = lf.eigenphases([lf.complete_l(curve)], 3)
             z_trace = linstat.z_statistic(list(data_g2.s[i]), tf, 4, 3)
             z_phase, tail = linstat.z_statistic_eigenphases(theta, tf, 4)
             assert tail == 0.0
